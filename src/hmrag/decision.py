@@ -142,6 +142,15 @@ def bleu(candidate, reference, max_n: int = 4, weights: list[float] | None = Non
     return math.exp(log_sum) * brevity
 
 
+def pair_metrics(summary_a: str, summary_b: str, fusion_lambda: float,
+                 max_n: int) -> tuple[float, float, float]:
+    """(LCS overlap, symmetrized n-gram precision, their lambda-weighted blend)."""
+    tokens_a, tokens_b = tokenize(summary_a), tokenize(summary_b)
+    rouge = rouge_l(tokens_a, tokens_b)
+    sym_bleu = (bleu(tokens_a, tokens_b, max_n) + bleu(tokens_b, tokens_a, max_n)) / 2
+    return rouge, sym_bleu, fusion_lambda * rouge + (1 - fusion_lambda) * sym_bleu
+
+
 def fused_similarity(a: AnswerCandidate, b: AnswerCandidate, fusion_lambda: float,
                      max_n: int = 4) -> float:
     """lambda-weighted blend of LCS overlap and symmetrized n-gram precision."""
@@ -149,10 +158,7 @@ def fused_similarity(a: AnswerCandidate, b: AnswerCandidate, fusion_lambda: floa
         raise ValueError("fusion_lambda must be in [0, 1]")
     if a.summary is None or b.summary is None:
         raise ValueError("both candidates need summaries before scoring")
-    tokens_a, tokens_b = tokenize(a.summary), tokenize(b.summary)
-    rouge = rouge_l(tokens_a, tokens_b)
-    sym_bleu = (bleu(tokens_a, tokens_b, max_n) + bleu(tokens_b, tokens_a, max_n)) / 2
-    return fusion_lambda * rouge + (1 - fusion_lambda) * sym_bleu
+    return pair_metrics(a.summary, b.summary, fusion_lambda, max_n)[2]
 
 
 def format_answers(candidates, with_evidence: bool = False) -> str:
@@ -246,11 +252,8 @@ class DecisionAgent:
         for i in range(len(available)):
             for j in range(i + 1, len(available)):
                 a, b = available[i], available[j]
-                tokens_a, tokens_b = tokenize(a.summary), tokenize(b.summary)
-                rouge = rouge_l(tokens_a, tokens_b)
-                sym_bleu = (bleu(tokens_a, tokens_b, self.bleu_max_n)
-                            + bleu(tokens_b, tokens_a, self.bleu_max_n)) / 2
-                fused = self.fusion_lambda * rouge + (1 - self.fusion_lambda) * sym_bleu
+                rouge, sym_bleu, fused = pair_metrics(a.summary, b.summary, self.fusion_lambda,
+                                                      self.bleu_max_n)
                 pair_scores[_pair_key(a.source, b.source)] = {
                     "rouge_l": rouge, "bleu": sym_bleu, "fused": fused,
                 }

@@ -262,9 +262,12 @@ class HTTPChatBackend:
             self.config.timeout_s, self.config.retries,
         )
         try:
-            return data["choices"][0]["message"]["content"]
+            content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"unexpected chat response shape: {exc}") from exc
+        if not isinstance(content, str):
+            raise GatewayError(f"chat response content is {type(content).__name__}, not text")
+        return content
 
 
 class HTTPEmbeddingBackend:
@@ -326,9 +329,12 @@ class HTTPCaptionBackend:
             self.config.timeout_s, self.config.retries,
         )
         try:
-            return data["choices"][0]["message"]["content"]
+            content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"unexpected caption response shape: {exc}") from exc
+        if not isinstance(content, str):
+            raise GatewayError(f"caption response content is {type(content).__name__}, not text")
+        return content
 
 
 class ModelGateway:

@@ -103,10 +103,6 @@ class EmbeddingIndex:
     def record(self, i: int) -> IndexRecord:
         return IndexRecord(self.chunk_ids[i], self.matrix[i], self.texts[i])
 
-    @property
-    def records(self) -> list[IndexRecord]:
-        return [self.record(i) for i in range(len(self))]
-
     def save(self, path) -> None:
         lines = [json.dumps({"dim": self.dim, "count": len(self)}, ensure_ascii=False)]
         for i in range(len(self)):

@@ -2,124 +2,14 @@
 
 The two loops that dominate compute at eval time live here: cosine
 similarity of a query vector against every stored embedding, and the
-longest-common-subsequence table used by the consistency metric. Each
-kernel has a numba-compiled implementation and a pure-numpy fallback.
-
-Selection happens once at import time. Set ``HMRAG_NUMBA=0`` to force
-the numpy path (or when numba is not installed the fallback is used
-automatically). ``benchmarks/bench_kernels.py`` times both.
+longest-common-subsequence table used by the consistency metric. Both
+are plain numpy; ``perfbench/run.py --trace 1`` times them at fixed
+sizes against independent references.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
-
-
-def _numba_requested() -> bool:
-    value = os.environ.get("HMRAG_NUMBA", "1").strip().lower()
-    return value not in {"0", "false", "off", "no"}
-
-
-def cosine_scores_numpy(query: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Cosine of `query` against every row of `matrix` (zero rows score 0)."""
-    query_norm = float(np.linalg.norm(query))
-    if matrix.shape[0] == 0:
-        return np.empty(0, dtype=np.float64)
-    if query_norm == 0.0:
-        return np.zeros(matrix.shape[0], dtype=np.float64)
-    row_norms = np.linalg.norm(matrix, axis=1)
-    dots = matrix @ query
-    safe = np.where(row_norms == 0.0, 1.0, row_norms)
-    scores = dots / (query_norm * safe)
-    scores[row_norms == 0.0] = 0.0
-    return scores
-
-
-def lcs_length_numpy(a: np.ndarray, b: np.ndarray) -> int:
-    """LCS length via a row-vectorized DP sweep.
-
-    Uses the fact that each DP row is non-decreasing, so the running
-    maximum absorbs the within-row dependency.
-    """
-    if a.size == 0 or b.size == 0:
-        return 0
-    prev = np.zeros(b.size + 1, dtype=np.int64)
-    for token in a:
-        candidate = np.maximum(prev[1:], prev[:-1] + (b == token))
-        prev = np.concatenate(([0], np.maximum.accumulate(candidate)))
-    return int(prev[-1])
-
-
-cosine_scores_numba = None
-lcs_length_numba = None
-
-if _numba_requested():
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        njit = None
-
-    if njit is not None:
-
-        @njit(cache=True)
-        def _cosine_scores_jit(query, matrix):
-            rows, dim = matrix.shape
-            query_norm = 0.0
-            for j in range(dim):
-                query_norm += query[j] * query[j]
-            query_norm = math.sqrt(query_norm)
-            out = np.empty(rows, dtype=np.float64)
-            if query_norm == 0.0:
-                for i in range(rows):
-                    out[i] = 0.0
-                return out
-            for i in range(rows):
-                dot = 0.0
-                row_norm = 0.0
-                for j in range(dim):
-                    dot += query[j] * matrix[i, j]
-                    row_norm += matrix[i, j] * matrix[i, j]
-                row_norm = math.sqrt(row_norm)
-                out[i] = 0.0 if row_norm == 0.0 else dot / (query_norm * row_norm)
-            return out
-
-        @njit(cache=True)
-        def _lcs_length_jit(a, b):
-            n = a.size
-            m = b.size
-            prev = np.zeros(m + 1, dtype=np.int64)
-            curr = np.zeros(m + 1, dtype=np.int64)
-            for i in range(n):
-                token = a[i]
-                for j in range(m):
-                    best = prev[j + 1]
-                    if curr[j] > best:
-                        best = curr[j]
-                    diag = prev[j] + (1 if token == b[j] else 0)
-                    if diag > best:
-                        best = diag
-                    curr[j + 1] = best
-                prev, curr = curr, prev
-            return prev[m]
-
-        def cosine_scores_numba(query, matrix):  # noqa: F811 - conditional def
-            if matrix.shape[0] == 0:
-                return np.empty(0, dtype=np.float64)
-            return _cosine_scores_jit(query, matrix)
-
-        def lcs_length_numba(a, b):  # noqa: F811 - conditional def
-            if a.size == 0 or b.size == 0:
-                return 0
-            return int(_lcs_length_jit(a, b))
-
-
-NUMBA_ENABLED = cosine_scores_numba is not None
-
-_cosine_impl = cosine_scores_numba if NUMBA_ENABLED else cosine_scores_numpy
-_lcs_impl = lcs_length_numba if NUMBA_ENABLED else lcs_length_numpy
 
 
 def cosine_scores(query, matrix) -> np.ndarray:
@@ -136,11 +26,31 @@ def cosine_scores(query, matrix) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: query has {query.shape[0]}, matrix rows have {matrix.shape[1]}"
         )
-    return _cosine_impl(query, matrix)
+    query_norm = float(np.linalg.norm(query))
+    if matrix.shape[0] == 0:
+        return np.empty(0, dtype=np.float64)
+    if query_norm == 0.0:
+        return np.zeros(matrix.shape[0], dtype=np.float64)
+    row_norms = np.linalg.norm(matrix, axis=1)
+    dots = matrix @ query
+    safe = np.where(row_norms == 0.0, 1.0, row_norms)
+    scores = dots / (query_norm * safe)
+    scores[row_norms == 0.0] = 0.0
+    return scores
 
 
 def lcs_length(a, b) -> int:
-    """Length of the longest common subsequence of two id sequences."""
+    """Length of the longest common subsequence of two id sequences.
+
+    A row-vectorized DP sweep: each DP row is non-decreasing, so the
+    running maximum absorbs the within-row dependency.
+    """
     a = np.ascontiguousarray(a, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64)
-    return int(_lcs_impl(a, b))
+    if a.size == 0 or b.size == 0:
+        return 0
+    prev = np.zeros(b.size + 1, dtype=np.int64)
+    for token in a:
+        candidate = np.maximum(prev[1:], prev[:-1] + (b == token))
+        prev = np.concatenate(([0], np.maximum.accumulate(candidate)))
+    return int(prev[-1])

@@ -185,11 +185,7 @@ class Pipeline:
 
     def _run_agent(self, source: str, query: str) -> tuple[AnswerCandidate, list[str]]:
         warnings: list[str] = []
-        agent = self._agents[source]
-        if source == "vector":
-            candidate = agent.run(query)
-        else:
-            candidate = agent.run(query, warnings)
+        candidate = self._agents[source].run(query, warnings)
         return candidate, warnings
 
     def _fan_out(self, query: str, entry: SubQueryTrace) -> list[AnswerCandidate]:

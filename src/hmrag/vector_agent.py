@@ -44,8 +44,8 @@ class RetrievalResult:
             raise ValueError("top list must be sorted by non-increasing score")
 
 
-def score_all(query_vec: np.ndarray, index: EmbeddingIndex) -> list[ScoredChunk]:
-    """One cosine score per index record, in index order."""
+def _scores(query_vec: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
+    """Cosine score of a validated query against every index record, in index order."""
     query_vec = np.asarray(query_vec, dtype=np.float64)
     if query_vec.shape != (index.dim,):
         raise ValueError(f"query vector has shape {query_vec.shape}, index dim is {index.dim}")
@@ -55,6 +55,12 @@ def score_all(query_vec: np.ndarray, index: EmbeddingIndex) -> list[ScoredChunk]
     zero_rows = int(np.sum(np.linalg.norm(index.matrix, axis=1) == 0.0))
     if zero_rows:
         logger.warning("%d zero-norm index records scored 0", zero_rows)
+    return scores
+
+
+def score_all(query_vec: np.ndarray, index: EmbeddingIndex) -> list[ScoredChunk]:
+    """One cosine score per index record, in index order."""
+    scores = _scores(query_vec, index)
     return [ScoredChunk(index.record(i), float(scores[i])) for i in range(len(index))]
 
 
@@ -64,12 +70,11 @@ def top_k_by_vector(query: str, query_vec: np.ndarray, index: EmbeddingIndex, k:
         raise ValueError("k must be >= 1")
     if len(index) == 0:
         raise ValueError("cannot retrieve from an empty index")
-    scored = score_all(query_vec, index)
-    scores = np.array([s.score for s in scored], dtype=np.float64)
+    scores = _scores(query_vec, index)
     id_rank = np.empty(len(index), dtype=np.int64)
     id_rank[np.argsort(np.array(index.chunk_ids, dtype=object), kind="stable")] = np.arange(len(index))
     order = np.lexsort((id_rank, -scores))
-    top = tuple(scored[i] for i in order[: min(k, len(index))])
+    top = tuple(ScoredChunk(index.record(i), float(scores[i])) for i in order[:k])
     return RetrievalResult(query=query, top=top, k=k)
 
 
@@ -116,10 +121,12 @@ class VectorAgent:
             return unavailable_candidate("vector")
         return AnswerCandidate(text=text, source="vector", evidence=tuple(chunk_texts))
 
-    def run(self, query: str) -> AnswerCandidate:
+    def run(self, query: str, warnings: list[str] | None = None) -> AnswerCandidate:
         try:
             result = self.retrieve_top_k(query)
         except GatewayError as exc:
             logger.warning("vector retrieval failed: %s", exc)
+            if warnings is not None:
+                warnings.append(f"vector retrieval failed: {exc}")
             return unavailable_candidate("vector")
         return self.answer(query, result)

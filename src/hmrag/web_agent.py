@@ -61,22 +61,27 @@ class SearchResult:
 
 def parse_search_response(data: dict, cfg: SearchConfig, raw_payload: str = "") -> list[SearchResult]:
     """Shared parser for live and stub responses."""
-    organic = data.get("organic")
+    organic = data.get("organic") if isinstance(data, dict) else None
     if not isinstance(organic, list):
         raise SearchParseError("response missing 'organic' array", raw_payload=raw_payload)
     results = []
     for i, item in enumerate(organic):
         if not isinstance(item, dict) or not item.get("link"):
             raise SearchParseError(f"organic entry {i} missing link", raw_payload=raw_payload)
-        results.append(SearchResult(
-            title=str(item.get("title", "")),
-            snippet=str(item.get("snippet", "")),
-            url=str(item["link"]),
-            position=int(item.get("position", i + 1)),
-        ))
+        try:
+            results.append(SearchResult(
+                title=str(item.get("title", "")),
+                snippet=str(item.get("snippet", "")),
+                url=str(item["link"]),
+                position=int(item.get("position", i + 1)),
+            ))
+        except (TypeError, ValueError) as exc:
+            raise SearchParseError(f"organic entry {i} malformed: {exc}",
+                                   raw_payload=raw_payload) from exc
     positions = [r.position for r in results]
     if len(set(positions)) != len(positions):
-        raise ValueError(f"duplicate result positions in response: {sorted(positions)}")
+        raise SearchParseError(f"duplicate result positions in response: {sorted(positions)}",
+                               raw_payload=raw_payload)
     results.sort(key=lambda r: r.position)
     return results[: cfg.num_results]
 

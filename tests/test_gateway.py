@@ -244,6 +244,19 @@ def test_retries_never_change_the_value(monkeypatch):
     assert flaky_value == clean_value
 
 
+@pytest.mark.parametrize("content", [None, 42, ["a", "b"]])
+def test_http_non_text_content_is_gateway_error(monkeypatch, content):
+    from hmrag.gateway import HTTPCaptionBackend
+
+    payload = {"choices": [{"message": {"content": content}}]}
+    monkeypatch.setattr(gateway_mod.requests, "post", lambda url, **kw: FakeResponse(payload))
+    config = ModelBackendConfig(endpoint="http://x")
+    with pytest.raises(GatewayError):
+        HTTPChatBackend(config).complete(user_turns("hi"), DecodingParams())
+    with pytest.raises(GatewayError):
+        HTTPCaptionBackend(config).caption("https://example.org/pic.jpg")
+
+
 def test_http_embedding_wire_format(monkeypatch):
     captured = {}
 

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,16 +26,7 @@ seq = st.lists(st.integers(min_value=0, max_value=4), min_size=0, max_size=20)
 def test_lcs_numpy_matches_reference(a, b):
     arr_a = np.array(a, dtype=np.int64)
     arr_b = np.array(b, dtype=np.int64)
-    assert kernels.lcs_length_numpy(arr_a, arr_b) == lcs_reference(a, b)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba path disabled")
-@given(seq, seq)
-@settings(max_examples=200, deadline=None)
-def test_lcs_numba_matches_numpy(a, b):
-    arr_a = np.array(a, dtype=np.int64)
-    arr_b = np.array(b, dtype=np.int64)
-    assert kernels.lcs_length_numba(arr_a, arr_b) == kernels.lcs_length_numpy(arr_a, arr_b)
+    assert kernels.lcs_length(arr_a, arr_b) == lcs_reference(a, b)
 
 
 def test_lcs_empty_inputs():
@@ -59,19 +45,6 @@ def test_cosine_matches_manual_fixture():
     assert scores[2] == pytest.approx(np.sqrt(0.5), abs=1e-9)
 
 
-@pytest.mark.skipif(not kernels.NUMBA_ENABLED, reason="numba path disabled")
-def test_cosine_paths_agree_on_random_matrices():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        m = rng.standard_normal((rng.integers(1, 40), rng.integers(1, 16)))
-        q = rng.standard_normal(m.shape[1])
-        np.testing.assert_allclose(
-            kernels.cosine_scores_numba(np.ascontiguousarray(q), np.ascontiguousarray(m)),
-            kernels.cosine_scores_numpy(q, m),
-            atol=1e-12,
-        )
-
-
 def test_cosine_zero_rows_score_zero():
     q = np.array([1.0, 1.0])
     m = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -83,17 +56,3 @@ def test_cosine_zero_rows_score_zero():
 def test_cosine_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         kernels.cosine_scores(np.ones(3), np.ones((2, 8)))
-
-
-def test_env_flag_forces_numpy_path():
-    # The child inherits the environment (a bare env would drop PYTHONPATH)
-    # and puts the directory of the hmrag under test first on its path, so it
-    # imports this code rather than any copy installed elsewhere.
-    package_root = str(Path(kernels.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, HMRAG_NUMBA="0", PYTHONPATH=pythonpath)
-    # _numba_requested() shows the flag was read even where numba is absent
-    code = "import hmrag.kernels as k; print(k.NUMBA_ENABLED, k._numba_requested())"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False False"

@@ -23,7 +23,7 @@ from hmrag.pipeline import (
 )
 from hmrag.templates import TemplateSet
 from hmrag.vector_agent import build_prompt, top_k_by_vector
-from hmrag.web_agent import SearchConfig
+from hmrag.web_agent import SearchConfig, StubSearchClient
 
 from conftest import user_turns
 from world import build_world
@@ -151,30 +151,32 @@ def test_multi_intent_chains_context_and_refines_final():
     assert trace.final_answer == "Granite, identified by hardness."
 
 
+def _vector_and_web_pipeline(world, make_client, **cfg):
+    """Vector + web pipeline for the first world question; only the vector
+    answer path plus its single-candidate refine are scripted."""
+    record = world.eval_records[0]
+    question = format_eval_question(record)
+    gateway = ModelGateway(chat=world.book.backend(), embedding=world.embedding_backend())
+    cfg = PipelineConfig(enabled_agents=("vector", "web"), top_k=5,
+                         search=SearchConfig(num_results=5), **cfg)
+    pipeline = Pipeline(gateway, world.index, None, make_client(question),
+                        cfg=cfg, templates=world.templates)
+    vector_text = world.answer_texts[record.id]
+    refine = world.templates.render(
+        "refine_lightweight", question=question,
+        answers=format_answers([AnswerCandidate(text=vector_text, source="vector")]))
+    pipeline._gateway._chat_backends["chat"].add(user_turns(refine), vector_text)
+    return pipeline, question, vector_text
+
+
 def test_agent_timeout_yields_unavailable_candidate(small_world):
     class SlowClient:
         def search(self, query, cfg):
             time.sleep(0.5)
             return []
 
-    record = small_world.eval_records[0]
-    question = format_eval_question(record)
-    gateway = ModelGateway(
-        chat=small_world.book.backend(),
-        embedding=small_world.embedding_backend(),
-    )
-    cfg = PipelineConfig(
-        enabled_agents=("vector", "web"), agent_timeout_s=0.05,
-        top_k=5, search=SearchConfig(num_results=5),
-    )
-    # only the vector answer path plus its single-candidate refine are scripted
-    pipeline = Pipeline(gateway, small_world.index, None, SlowClient(),
-                        cfg=cfg, templates=small_world.templates)
-    vector_text = small_world.answer_texts[record.id]
-    refine = small_world.templates.render(
-        "refine_lightweight", question=question,
-        answers=format_answers([AnswerCandidate(text=vector_text, source="vector")]))
-    pipeline._gateway._chat_backends["chat"].add(user_turns(refine), vector_text)
+    pipeline, question, vector_text = _vector_and_web_pipeline(
+        small_world, lambda question: SlowClient(), agent_timeout_s=0.05)
     started = time.monotonic()
     trace = pipeline.run_query(question)
     elapsed = time.monotonic() - started
@@ -183,6 +185,22 @@ def test_agent_timeout_yields_unavailable_candidate(small_world):
     assert any("timed out" in w for w in trace.entries[0].warnings)
     assert trace.final_answer == vector_text
     assert elapsed < 0.45  # the stuck agent must not stall the query
+
+
+@pytest.mark.parametrize("payload", [
+    {"organic": [{"link": "https://a", "position": 1}, {"link": "https://b", "position": "two"}]},
+    {"organic": [{"link": "https://a", "position": 1}, {"link": "https://b", "position": 1}]},
+    {"organic": [{"link": "https://a", "position": 0}]},
+    [{"link": "https://a", "position": 1}],
+])
+def test_malformed_search_payload_degrades_web_candidate(small_world, payload):
+    pipeline, question, vector_text = _vector_and_web_pipeline(
+        small_world, lambda question: StubSearchClient({question: payload}))
+    trace = pipeline.run_query(question)
+    web_candidate = next(c for c in trace.entries[0].candidates if c.source == "web")
+    assert web_candidate.available is False
+    assert any(w.startswith("web search response unparseable") for w in trace.entries[0].warnings)
+    assert trace.final_answer == vector_text
 
 
 def test_all_agents_unavailable_fails_with_diagnostic_trace():

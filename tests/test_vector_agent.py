@@ -176,3 +176,16 @@ def test_backend_failure_yields_unavailable_candidate(hashing_backend):
     candidate = agent.run("some question")
     assert candidate.available is False
     assert candidate.source == "vector"
+
+
+def test_retrieval_failure_is_reported_in_warnings():
+    class DeadEmbedding:
+        def embed(self, text):
+            raise BackendUnavailableError("embeddings down")
+
+    agent = VectorAgent(make_gateway(embedding=DeadEmbedding()), make_index(np.eye(2)),
+                        templates=TEMPLATES)
+    warnings = []
+    candidate = agent.run("some question", warnings)
+    assert candidate.available is False
+    assert warnings == ["vector retrieval failed: embeddings down"]

@@ -52,7 +52,7 @@ def test_duplicate_positions_violate_invariant():
         {"title": "a", "snippet": "", "link": "https://a", "position": 1},
         {"title": "b", "snippet": "", "link": "https://b", "position": 1},
     ]}}
-    with pytest.raises(ValueError):
+    with pytest.raises(SearchParseError):
         StubSearchClient(fixture).search("q", SearchConfig())
 
 
