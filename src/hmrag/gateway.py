@@ -1,8 +1,9 @@
 """Uniform access to chat, embedding, and caption models.
 
 Backends are pluggable: HTTP clients speaking the common chat-completions
-and embeddings JSON wire formats, plus deterministic scripted doubles for
-tests and offline runs. Decoding defaults enforce temperature 0 / top_p 1
+and embeddings JSON wire formats over one transport (`post_with_retries`,
+which web search uses too), plus deterministic scripted doubles for tests
+and offline runs. Decoding defaults enforce temperature 0 / top_p 1
 so every call is reproducible given the same backend state.
 """
 
@@ -206,22 +207,30 @@ class ScriptedCaptionBackend:
             raise ScriptMismatchError(f"no scripted caption for {image_ref!r}") from None
 
 
-def _auth_headers(config: ModelBackendConfig) -> dict[str, str]:
+def json_headers(key_env: str, key_header: str, key_prefix: str = "") -> dict[str, str]:
+    """JSON request headers, plus `key_header` carrying the API key read from
+    the environment variable `key_env` when one is named."""
     headers = {"Content-Type": "application/json"}
-    if config.api_key_env:
-        key = os.environ.get(config.api_key_env)
+    if key_env:
+        key = os.environ.get(key_env)
         if not key:
-            raise ConfigError(f"environment variable {config.api_key_env!r} is not set")
-        headers["Authorization"] = f"Bearer {key}"
+            raise ConfigError(f"environment variable {key_env!r} is not set")
+        headers[key_header] = key_prefix + key
     return headers
 
 
-def post_json_with_retries(url: str, payload: dict, headers: dict, timeout_s: float, retries: int) -> dict:
-    """POST JSON, retrying connection failures and 5xx up to `retries` times."""
+def post_with_retries(config: ModelBackendConfig, payload: dict, headers: dict) -> requests.Response:
+    """POST JSON to `config.endpoint`: the one HTTP transport of the package.
+
+    Connection failures and 5xx responses are retried up to `config.retries`
+    times, back to back; any other 4xx raises GatewayError at once. Returns
+    the status-checked response; each caller decodes the body itself.
+    """
+    url = config.endpoint
     last_error: Exception | None = None
-    for _ in range(retries + 1):
+    for _ in range(config.retries + 1):
         try:
-            response = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
+            response = requests.post(url, json=payload, headers=headers, timeout=config.timeout_s)
         except requests.RequestException as exc:
             last_error = exc
             continue
@@ -232,75 +241,86 @@ def post_json_with_retries(url: str, payload: dict, headers: dict, timeout_s: fl
             raise GatewayError(
                 f"request rejected with status {response.status_code}: {response.text[:200]}"
             )
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise GatewayError(f"malformed JSON from {url}: {exc}") from exc
+        return response
     raise BackendUnavailableError(
-        f"backend at {url} unreachable after {retries + 1} attempts: {last_error}"
+        f"backend at {url} unreachable after {config.retries + 1} attempts: {last_error}"
     )
 
 
-class HTTPChatBackend:
-    """Chat-completions client; works against any compatible server."""
+class _HTTPModelClient:
+    """Endpoint check, authorised POST and chat-completions codec shared by
+    the HTTP model clients."""
+
+    kind: str  # names the client in error messages
 
     def __init__(self, config: ModelBackendConfig):
         if not config.endpoint:
-            raise ConfigError("chat backend needs an endpoint")
+            raise ConfigError(f"{self.kind} backend needs an endpoint")
         self.config = config
 
-    def complete(self, turns, params: DecodingParams) -> str:
-        payload = {
+    def _post(self, payload: dict):
+        headers = json_headers(self.config.api_key_env, "Authorization", "Bearer ")
+        response = post_with_retries(self.config, payload, headers)
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise GatewayError(f"malformed JSON from {self.config.endpoint}: {exc}") from exc
+
+    def _chat_completion(self, messages: list[dict], params: DecodingParams) -> str:
+        data = self._post({
             "model": self.config.model_name,
-            "messages": [{"role": t.role, "content": t.content} for t in turns],
+            "messages": messages,
             "temperature": params.temperature,
             "top_p": params.top_p,
             "max_tokens": params.max_tokens,
-        }
-        data = post_json_with_retries(
-            self.config.endpoint, payload, _auth_headers(self.config),
-            self.config.timeout_s, self.config.retries,
-        )
+        })
         try:
             content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
-            raise GatewayError(f"unexpected chat response shape: {exc}") from exc
+            raise GatewayError(f"unexpected {self.kind} response shape: {exc}") from exc
         if not isinstance(content, str):
-            raise GatewayError(f"chat response content is {type(content).__name__}, not text")
+            raise GatewayError(f"{self.kind} response content is {type(content).__name__}, not text")
         return content
 
 
-class HTTPEmbeddingBackend:
+class HTTPChatBackend(_HTTPModelClient):
+    """Chat-completions client; works against any compatible server."""
+
+    kind = "chat"
+
+    def complete(self, turns, params: DecodingParams) -> str:
+        return self._chat_completion([{"role": t.role, "content": t.content} for t in turns], params)
+
+
+class HTTPEmbeddingBackend(_HTTPModelClient):
     """Embeddings client speaking the input/embedding JSON wire format."""
 
-    def __init__(self, config: ModelBackendConfig):
-        if not config.endpoint:
-            raise ConfigError("embedding backend needs an endpoint")
-        self.config = config
+    kind = "embedding"
 
     def embed(self, text: str) -> np.ndarray:
-        payload = {"model": self.config.model_name, "input": [text]}
-        data = post_json_with_retries(
-            self.config.endpoint, payload, _auth_headers(self.config),
-            self.config.timeout_s, self.config.retries,
-        )
+        data = self._post({"model": self.config.model_name, "input": [text]})
         try:
             vector = data["data"][0]["embedding"]
-        except (KeyError, IndexError, TypeError) as exc:
+            # bool is an int subclass, and numpy would read None as NaN and "1" as 1.0
+            if not (isinstance(vector, list) and vector
+                    and all(type(x) in (int, float) for x in vector)):
+                raise TypeError(f"embedding is not a non-empty list of numbers: {vector!r:.80}")
+            array = np.array(vector, dtype=np.float64)
+        except (KeyError, IndexError, TypeError, OverflowError) as exc:
             raise GatewayError(f"unexpected embedding response shape: {exc}") from exc
-        return np.asarray(vector, dtype=np.float64)
+        if not np.isfinite(array).all():
+            raise GatewayError("embedding response has non-finite values")
+        return array
 
 
 _CAPTION_INSTRUCTION = "Describe this image in one or two sentences."
+_CAPTION_PARAMS = DecodingParams(max_tokens=256)
 
 
-class HTTPCaptionBackend:
+class HTTPCaptionBackend(_HTTPModelClient):
     """Caption client: a vision-style chat-completions call per image."""
 
-    def __init__(self, config: ModelBackendConfig):
-        if not config.endpoint:
-            raise ConfigError("caption backend needs an endpoint")
-        self.config = config
+    kind = "caption"
 
     def _resolve_image(self, image_ref: str) -> str:
         if image_ref.startswith(("http://", "https://", "data:")):
@@ -317,24 +337,7 @@ class HTTPCaptionBackend:
             {"type": "text", "text": _CAPTION_INSTRUCTION},
             {"type": "image_url", "image_url": {"url": self._resolve_image(image_ref)}},
         ]
-        payload = {
-            "model": self.config.model_name,
-            "messages": [{"role": "user", "content": content}],
-            "temperature": 0.0,
-            "top_p": 1.0,
-            "max_tokens": 256,
-        }
-        data = post_json_with_retries(
-            self.config.endpoint, payload, _auth_headers(self.config),
-            self.config.timeout_s, self.config.retries,
-        )
-        try:
-            content = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise GatewayError(f"unexpected caption response shape: {exc}") from exc
-        if not isinstance(content, str):
-            raise GatewayError(f"caption response content is {type(content).__name__}, not text")
-        return content
+        return self._chat_completion([{"role": "user", "content": content}], _CAPTION_PARAMS)
 
 
 class ModelGateway:

@@ -1,30 +1,31 @@
 """Web retrieval through a Serper-compatible search endpoint.
 
-The live client POSTs ``{q, num, hl}`` with an X-API-KEY header and
-reads the ``organic`` array (title/snippet/link/position). A file-backed
-stub serves the same JSON keyed by query so tests and offline runs never
-touch the network. Answers carry their source URLs as evidence.
+The live client POSTs ``{q, num, hl}`` with an X-API-KEY header through
+the gateway's HTTP transport and reads the ``organic`` array
+(title/snippet/link/position). A file-backed stub serves the same JSON
+keyed by query so tests and offline runs never touch the network.
+Answers carry their source URLs as evidence.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
-import requests
+import requests  # unused here, but tests patch it on this module to forbid network access
 
 from .decision import AnswerCandidate, unavailable_candidate
-from .errors import (
-    BackendUnavailableError,
-    ConfigError,
-    GatewayError,
-    ScriptMismatchError,
-    SearchParseError,
+from .errors import GatewayError, ScriptMismatchError, SearchParseError
+from .gateway import (
+    CallLog,
+    ChatTurn,
+    DecodingParams,
+    ModelBackendConfig,
+    json_headers,
+    post_with_retries,
 )
-from .gateway import CallLog, ChatTurn, DecodingParams
 from .templates import TemplateSet
 
 logger = logging.getLogger(__name__)
@@ -75,7 +76,7 @@ def parse_search_response(data: dict, cfg: SearchConfig, raw_payload: str = "") 
                 url=str(item["link"]),
                 position=int(item.get("position", i + 1)),
             ))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
             raise SearchParseError(f"organic entry {i} malformed: {exc}",
                                    raw_payload=raw_payload) from exc
     positions = [r.position for r in results]
@@ -89,48 +90,27 @@ def parse_search_response(data: dict, cfg: SearchConfig, raw_payload: str = "") 
 class SerperSearchClient:
     def __init__(self, endpoint: str = DEFAULT_SEARCH_ENDPOINT, api_key_env: str = "SERPER_API_KEY",
                  timeout_s: float = 30.0, retries: int = 2, call_log: CallLog | None = None):
-        self.endpoint = endpoint
-        self.api_key_env = api_key_env
-        self.timeout_s = timeout_s
-        self.retries = retries
+        # ModelBackendConfig rejects a non-positive timeout and negative retries.
+        self.config = ModelBackendConfig(endpoint, api_key_env=api_key_env,
+                                         timeout_s=timeout_s, retries=retries)
         self._call_log = call_log
 
     def search(self, query: str, cfg: SearchConfig) -> list[SearchResult]:
         if not query or not query.strip():
             raise ValueError("query must be non-empty")
-        key = os.environ.get(self.api_key_env) if self.api_key_env else None
-        if self.api_key_env and not key:
-            raise ConfigError(f"environment variable {self.api_key_env!r} is not set")
+        headers = json_headers(self.config.api_key_env, "X-API-KEY")
         payload = {"q": query, "num": cfg.num_results, "hl": cfg.language}
         if cfg.type_ != "web":
             payload["type"] = cfg.type_
-        headers = {"Content-Type": "application/json"}
-        if key:
-            headers["X-API-KEY"] = key
         if self._call_log is not None:
             self._call_log.record("search", "web", query)
-        last_error = None
-        for _ in range(self.retries + 1):
-            try:
-                response = requests.post(self.endpoint, json=payload, headers=headers,
-                                         timeout=self.timeout_s)
-            except requests.RequestException as exc:
-                last_error = exc
-                continue
-            if response.status_code >= 500:
-                last_error = GatewayError(f"search server error {response.status_code}")
-                continue
-            if response.status_code >= 400:
-                raise GatewayError(f"search rejected with status {response.status_code}")
-            try:
-                data = response.json()
-            except ValueError as exc:
-                raise SearchParseError(f"search response is not JSON: {exc}",
-                                       raw_payload=response.text) from exc
-            return parse_search_response(data, cfg, raw_payload=response.text)
-        raise BackendUnavailableError(
-            f"search endpoint unreachable after {self.retries + 1} attempts: {last_error}"
-        )
+        response = post_with_retries(self.config, payload, headers)
+        try:
+            data = response.json()
+        except ValueError as exc:
+            raise SearchParseError(f"search response is not JSON: {exc}",
+                                   raw_payload=response.text) from exc
+        return parse_search_response(data, cfg, raw_payload=response.text)
 
 
 class StubSearchClient:

@@ -1,3 +1,4 @@
+import json
 import threading
 
 import pytest
@@ -10,6 +11,20 @@ from hmrag.gateway import (
     ScriptedChatBackend,
 )
 from hmrag.templates import TemplateSet
+
+
+class FakeResponse:
+    """Stands in for `requests.Response`; a None payload makes `json()` fail."""
+
+    def __init__(self, payload, status_code=200, text=None):
+        self._payload = payload
+        self.status_code = status_code
+        self.text = text if text is not None else json.dumps(payload)
+
+    def json(self):
+        if self._payload is None:
+            raise ValueError("not json")
+        return self._payload
 
 
 class ConstantChatBackend:

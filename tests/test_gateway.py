@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmrag.gateway as gateway_mod
 from hmrag.errors import (
@@ -16,26 +18,16 @@ from hmrag.gateway import (
     CallLog,
     ChatTurn,
     DecodingParams,
+    HTTPCaptionBackend,
     HTTPChatBackend,
     HTTPEmbeddingBackend,
     ModelBackendConfig,
     ScriptedCaptionBackend,
     ScriptedChatBackend,
 )
+from hmrag.web_agent import SearchConfig, SearchResult, SerperSearchClient
 
-from conftest import make_gateway, user_turns
-
-
-class FakeResponse:
-    def __init__(self, payload, status_code=200, text=None):
-        self._payload = payload
-        self.status_code = status_code
-        self.text = text if text is not None else json.dumps(payload)
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("not json")
-        return self._payload
+from conftest import FakeResponse, make_gateway, user_turns
 
 
 def test_decoding_params_defaults_are_deterministic():
@@ -257,6 +249,14 @@ def test_http_non_text_content_is_gateway_error(monkeypatch, content):
         HTTPCaptionBackend(config).caption("https://example.org/pic.jpg")
 
 
+def test_http_non_json_body_is_gateway_error(monkeypatch):
+    body = FakeResponse(None, text="<html>502 from a proxy</html>")
+    monkeypatch.setattr(gateway_mod.requests, "post", lambda url, **kw: body)
+    backend = HTTPChatBackend(ModelBackendConfig(endpoint="http://x"))
+    with pytest.raises(GatewayError, match="malformed JSON"):
+        backend.complete(user_turns("hi"), DecodingParams())
+
+
 def test_http_embedding_wire_format(monkeypatch):
     captured = {}
 
@@ -354,3 +354,54 @@ def test_scripted_chat_from_file(tmp_path):
     backend = ScriptedChatBackend.from_file(path)
     gateway = make_gateway(chat=backend)
     assert gateway.complete_chat(user_turns("ping")) == "pong"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_MODEL_CONFIG = ModelBackendConfig(endpoint="http://models.local")
+# Each client sees arbitrary JSON, and arbitrary JSON inside the shape it expects.
+_HTTP_CLIENTS = {
+    "chat": (
+        lambda: HTTPChatBackend(_MODEL_CONFIG).complete(user_turns("hi"), DecodingParams()),
+        st.builds(lambda v: {"choices": [{"message": {"content": v}}]}, _json_values),
+        lambda out: isinstance(out, str),
+    ),
+    "caption": (
+        lambda: HTTPCaptionBackend(_MODEL_CONFIG).caption("https://example.org/pic.jpg"),
+        st.builds(lambda v: {"choices": [{"message": {"content": v}}]}, _json_values),
+        lambda out: isinstance(out, str),
+    ),
+    "embedding": (
+        lambda: HTTPEmbeddingBackend(_MODEL_CONFIG).embed("hello"),
+        st.builds(lambda v: {"data": [{"embedding": v}]},
+                  _json_values | st.lists(st.integers() | st.floats(), max_size=4)),
+        lambda out: (isinstance(out, np.ndarray) and out.dtype == np.float64
+                     and out.ndim == 1 and out.size > 0 and bool(np.isfinite(out).all())),
+    ),
+    "search": (
+        lambda: SerperSearchClient("http://search.local", api_key_env="").search("q", SearchConfig()),
+        st.builds(lambda v: {"organic": v}, st.lists(st.fixed_dictionaries(
+            {"link": st.just("https://example.org") | _json_values},
+            optional={"title": _json_values, "snippet": _json_values, "position": _json_values},
+        ), max_size=4)),
+        lambda out: isinstance(out, list) and all(isinstance(r, SearchResult) for r in out),
+    ),
+}
+
+
+@pytest.mark.parametrize("client", sorted(_HTTP_CLIENTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_http_response_decoding_yields_value_or_gateway_error(client, data):
+    call, shaped, is_valid = _HTTP_CLIENTS[client]
+    body = data.draw(_json_values | shaped)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gateway_mod.requests, "post", lambda url, **kw: FakeResponse(body))
+        try:
+            out = call()
+        except GatewayError:  # SearchParseError included
+            return
+    assert is_valid(out), out

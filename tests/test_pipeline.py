@@ -3,11 +3,14 @@ import time
 
 import pytest
 
+import hmrag.gateway as gateway_mod
 from hmrag.decision import format_answers, AnswerCandidate
 from hmrag.errors import PipelineError
 from hmrag.gateway import (
     CallLog,
     HashingEmbeddingBackend,
+    HTTPEmbeddingBackend,
+    ModelBackendConfig,
     ModelGateway,
     ScriptedChatBackend,
 )
@@ -25,7 +28,7 @@ from hmrag.templates import TemplateSet
 from hmrag.vector_agent import build_prompt, top_k_by_vector
 from hmrag.web_agent import SearchConfig, StubSearchClient
 
-from conftest import user_turns
+from conftest import FakeResponse, user_turns
 from world import build_world
 
 TEMPLATES = TemplateSet()
@@ -201,6 +204,26 @@ def test_malformed_search_payload_degrades_web_candidate(small_world, payload):
     assert web_candidate.available is False
     assert any(w.startswith("web search response unparseable") for w in trace.entries[0].warnings)
     assert trace.final_answer == vector_text
+
+
+@pytest.mark.parametrize("embedding", [None, "abc", [[1.0], [1.0, 2.0]], [], [1.0, float("nan")]])
+def test_malformed_http_embedding_degrades_vector_candidate(small_world, monkeypatch, embedding):
+    body = FakeResponse({"data": [{"embedding": embedding}]})
+    monkeypatch.setattr(gateway_mod.requests, "post", lambda url, **kw: body)
+    pipeline, question, answer_text = _vector_and_web_pipeline(
+        small_world, lambda question: StubSearchClient(small_world.web_fixture))
+    pipeline._gateway._embedding = HTTPEmbeddingBackend(ModelBackendConfig(endpoint="http://x"))
+    refine = small_world.templates.render(
+        "refine_lightweight", question=question,
+        answers=format_answers([AnswerCandidate(text=answer_text, source="web")]))
+    pipeline._gateway._chat_backends["chat"].add(user_turns(refine), answer_text)
+
+    trace = pipeline.run_query(question)
+    candidates = {c.source: c for c in trace.entries[0].candidates}
+    assert candidates["vector"].available is False
+    assert candidates["web"].available is True
+    assert any(w.startswith("vector retrieval failed") for w in trace.entries[0].warnings)
+    assert trace.final_answer == answer_text
 
 
 def test_all_agents_unavailable_fails_with_diagnostic_trace():

@@ -16,7 +16,7 @@ from hmrag.web_agent import (
     format_results,
 )
 
-from conftest import make_gateway, user_turns
+from conftest import FakeResponse, make_gateway, user_turns
 
 TEMPLATES = TemplateSet()
 
@@ -115,6 +115,51 @@ def test_live_client_unreachable(monkeypatch):
     client = SerperSearchClient(retries=1)
     with pytest.raises(GatewayError):
         client.search("q", SearchConfig())
+
+
+def test_infinite_position_is_parse_error():
+    fixture = {"q": {"organic": [{"link": "https://a", "position": float("inf")}]}}
+    with pytest.raises(SearchParseError):
+        StubSearchClient(fixture).search("q", SearchConfig())
+
+
+def test_live_client_retries_5xx_then_succeeds(monkeypatch):
+    responses = [FakeResponse({"error": "busy"}, status_code=503),
+                 FakeResponse(PLANET_FIXTURE["largest planet"])]
+    monkeypatch.setattr(web_mod.requests, "post", lambda url, **kw: responses.pop(0))
+    client = SerperSearchClient(api_key_env="", retries=1)
+    results = client.search("largest planet", SearchConfig())
+    assert [r.position for r in results] == [1, 2, 3]
+    assert responses == []
+
+
+def test_live_client_4xx_fails_without_retry(monkeypatch):
+    attempts = []
+
+    def reject_post(url, **kwargs):
+        attempts.append(url)
+        return FakeResponse({"error": "bad key"}, status_code=403)
+
+    monkeypatch.setattr(web_mod.requests, "post", reject_post)
+    client = SerperSearchClient(api_key_env="", retries=3)
+    with pytest.raises(GatewayError):
+        client.search("q", SearchConfig())
+    assert len(attempts) == 1
+
+
+def test_live_client_non_json_body_is_parse_error_with_raw_body(monkeypatch):
+    body = "<html>gateway timeout</html>"
+    monkeypatch.setattr(web_mod.requests, "post", lambda url, **kw: FakeResponse(None, text=body))
+    client = SerperSearchClient(api_key_env="")
+    with pytest.raises(SearchParseError) as exc_info:
+        client.search("q", SearchConfig())
+    assert exc_info.value.raw_payload == body
+
+
+@pytest.mark.parametrize("kwargs", [{"timeout_s": 0}, {"timeout_s": -1.0}, {"retries": -1}])
+def test_live_client_rejects_bad_timeout_and_retries(kwargs):
+    with pytest.raises(ValueError):
+        SerperSearchClient(**kwargs)
 
 
 def test_answer_formats_results_and_attributes_urls():
