@@ -59,6 +59,26 @@ def unavailable_candidate(source: str) -> AnswerCandidate:
     return AnswerCandidate(text="", source=source, evidence=(), summary=None, available=False)
 
 
+def run_agent(agent, query: str, warnings: list[str] | None = None) -> AnswerCandidate:
+    """Run a retrieval agent's `retrieve` then `answer` step.
+
+    This is the one failure path of the retrieval agents: a GatewayError
+    from either step gives an unavailable candidate and exactly one
+    warning, "{source} {stage} failed: {error}".
+    """
+    stage = "retrieval"
+    try:
+        evidence = agent.retrieve(query, warnings)
+        stage = "answer"
+        return agent.answer(query, evidence)
+    except GatewayError as exc:
+        message = f"{agent.source} {stage} failed: {exc}"
+        logger.warning(message)
+        if warnings is not None:
+            warnings.append(message)
+        return unavailable_candidate(agent.source)
+
+
 @dataclass(frozen=True)
 class ConsensusReport:
     pair_scores: dict[str, dict[str, float]]

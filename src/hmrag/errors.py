@@ -12,8 +12,8 @@ class ConfigError(HmragError):
 class GatewayError(HmragError):
     """A model or search backend failed.
 
-    Retrieval agents convert this into an unavailable answer candidate
-    instead of failing the whole query.
+    `decision.run_agent` turns this into an unavailable answer candidate
+    and a trace warning instead of failing the whole query.
     """
 
 
@@ -21,11 +21,23 @@ class BackendUnavailableError(GatewayError):
     """Backend unreachable after exhausting the configured retries."""
 
 
+class EmbeddingError(GatewayError, ValueError):
+    """An embedding has the wrong length or zero norm.
+
+    A GatewayError, so the agent that asked for it degrades instead of
+    failing the query, and a ValueError, since the vector is invalid input.
+    """
+
+
 class SearchParseError(GatewayError):
-    """Search response was not valid JSON or missed required fields."""
+    """Search response was not valid JSON or missed required fields.
+
+    The message ends with the start of the raw payload, so a trace
+    warning shows what the endpoint sent.
+    """
 
     def __init__(self, message: str, raw_payload: str = ""):
-        super().__init__(message)
+        super().__init__(f"{message}; raw payload: {raw_payload[:500]}")
         self.raw_payload = raw_payload
 
 

@@ -25,6 +25,7 @@ import requests
 from .errors import (
     BackendUnavailableError,
     ConfigError,
+    EmbeddingError,
     GatewayError,
     ScriptMismatchError,
 )
@@ -387,7 +388,7 @@ class ModelGateway:
             if self._dim is None:
                 self._dim = vector.shape[0]
             elif vector.shape[0] != self._dim:
-                raise ValueError(
+                raise EmbeddingError(
                     f"embedding dimension drifted: got {vector.shape[0]}, expected {self._dim}"
                 )
         return vector

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decision import AnswerCandidate, unavailable_candidate
-from .errors import GatewayError
+from .decision import AnswerCandidate, run_agent
 from .gateway import ChatTurn, DecodingParams
 from .ingest import KnowledgeGraph
 from .kernels import cosine_scores
@@ -165,6 +164,8 @@ def serialize_subgraph(sub: Subgraph, graph: KnowledgeGraph) -> list[str]:
 class GraphAgent:
     """Read-only over an immutable graph; safe for concurrent queries."""
 
+    source = "graph"
+
     def __init__(self, gateway, graph: KnowledgeGraph, tau: float = DEFAULT_TAU,
                  templates: TemplateSet | None = None):
         self._gateway = gateway
@@ -195,22 +196,13 @@ class GraphAgent:
         lines = serialize_subgraph(sub, self._graph)
         evidence_text = "\n".join(lines) if lines else _EMPTY_EVIDENCE
         prompt = self._templates.render("graph_answer", question=query, evidence=evidence_text)
-        try:
-            text = self._gateway.complete_chat(
-                [ChatTurn("user", prompt)], DecodingParams(), role="lightweight_chat"
-            )
-        except GatewayError as exc:
-            logger.warning("graph answer generation failed: %s", exc)
-            return unavailable_candidate("graph")
-        return AnswerCandidate(text=text, source="graph", evidence=tuple(lines))
+        text = self._gateway.complete_chat(
+            [ChatTurn("user", prompt)], DecodingParams(), role="lightweight_chat"
+        )
+        return AnswerCandidate(text=text, source=self.source, evidence=tuple(lines))
 
     def run(self, query: str, warnings: list[str] | None = None) -> AnswerCandidate:
-        try:
-            sub = self.retrieve(query, warnings)
-        except GatewayError as exc:
-            logger.warning("graph retrieval failed: %s", exc)
-            return unavailable_candidate("graph")
-        return self.answer(query, sub)
+        return run_agent(self, query, warnings)
 
 
 def _parse_keyword_response(response: str) -> KeywordSet | None:

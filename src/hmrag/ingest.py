@@ -193,9 +193,6 @@ class KnowledgeGraph:
     def get_entity(self, name: str) -> Entity:
         return self._entities[name.casefold()]
 
-    def canonical_name(self, name: str) -> str:
-        return self._entities[name.casefold()].name
-
     def add_entity(self, name: str, description: str = "", visual_location: str | None = None) -> Entity:
         if not name or not name.strip():
             raise ValueError("entity name must be non-empty")

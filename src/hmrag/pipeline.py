@@ -27,7 +27,7 @@ from .decision import (
     DecisionAgent,
     unavailable_candidate,
 )
-from .errors import GatewayError, PipelineError
+from .errors import PipelineError
 from .gateway import CallLog, ChatTurn, DecodingParams, ModelGateway
 from .ingest import EmbeddingIndex, KnowledgeGraph
 from .graph_agent import GraphAgent
@@ -62,6 +62,14 @@ class PipelineConfig:
             raise ValueError(f"unknown agents {sorted(unknown)}")
         if not self.enabled_agents:
             raise ValueError("at least one retrieval agent must be enabled")
+        for name in ("tau", "fusion_lambda", "consensus_threshold"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1]")
+        for name in ("top_k", "bleu_max_n", "summary_token_budget"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.agent_timeout_s <= 0:
+            raise ValueError("agent_timeout_s must be > 0")
 
 
 @dataclass
@@ -183,31 +191,23 @@ class Pipeline:
             self._agents["web"] = WebAgent(gateway, web_client, self.cfg.search, self._templates)
         self._order = tuple(s for s in SOURCES if s in self._agents)
 
-    def _run_agent(self, source: str, query: str) -> tuple[AnswerCandidate, list[str]]:
-        warnings: list[str] = []
-        candidate = self._agents[source].run(query, warnings)
-        return candidate, warnings
-
     def _fan_out(self, query: str, entry: SubQueryTrace) -> list[AnswerCandidate]:
         candidates = []
+        # one list per agent, so a timed-out agent's late warnings stay out of the trace
+        warnings = {source: [] for source in self._order}
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=len(self._order))
         try:
-            futures = {source: pool.submit(self._run_agent, source, query)
+            futures = {source: pool.submit(self._agents[source].run, query, warnings[source])
                        for source in self._order}
             for source in self._order:
                 try:
-                    candidate, agent_warnings = futures[source].result(
-                        timeout=self.cfg.agent_timeout_s
-                    )
-                    entry.warnings.extend(agent_warnings)
+                    candidate = futures[source].result(timeout=self.cfg.agent_timeout_s)
+                    entry.warnings.extend(warnings[source])
                 except concurrent.futures.TimeoutError:
                     candidate = unavailable_candidate(source)
                     entry.warnings.append(
                         f"{source} agent timed out after {self.cfg.agent_timeout_s}s"
                     )
-                except GatewayError as exc:
-                    candidate = unavailable_candidate(source)
-                    entry.warnings.append(f"{source} agent failed: {exc}")
                 candidates.append(candidate)
         finally:
             # wait=False so a timed-out agent cannot stall the query; its

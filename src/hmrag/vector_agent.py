@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decision import AnswerCandidate, unavailable_candidate
-from .errors import GatewayError
+from .decision import AnswerCandidate, run_agent
+from .errors import EmbeddingError
 from .gateway import ChatTurn, DecodingParams
 from .ingest import EmbeddingIndex, IndexRecord
 from .kernels import cosine_scores
@@ -48,9 +48,9 @@ def _scores(query_vec: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
     """Cosine score of a validated query against every index record, in index order."""
     query_vec = np.asarray(query_vec, dtype=np.float64)
     if query_vec.shape != (index.dim,):
-        raise ValueError(f"query vector has shape {query_vec.shape}, index dim is {index.dim}")
+        raise EmbeddingError(f"query vector has shape {query_vec.shape}, index dim is {index.dim}")
     if np.linalg.norm(query_vec) == 0.0:
-        raise ValueError("query vector must be non-zero")
+        raise EmbeddingError("query vector must be non-zero")
     scores = cosine_scores(query_vec, index.matrix)
     zero_rows = int(np.sum(np.linalg.norm(index.matrix, axis=1) == 0.0))
     if zero_rows:
@@ -98,6 +98,8 @@ def build_prompt(query: str, chunk_texts, header: str) -> str:
 class VectorAgent:
     """Read-only over an immutable index; safe for concurrent queries."""
 
+    source = "vector"
+
     def __init__(self, gateway, index: EmbeddingIndex, top_k: int = DEFAULT_TOP_K,
                  templates: TemplateSet | None = None):
         self._gateway = gateway
@@ -105,28 +107,17 @@ class VectorAgent:
         self._top_k = top_k
         self._templates = templates or TemplateSet()
 
-    def retrieve_top_k(self, query: str, k: int | None = None) -> RetrievalResult:
+    def retrieve(self, query: str, warnings: list[str] | None = None) -> RetrievalResult:
         query_vec = self._gateway.embed_text(query)
-        return top_k_by_vector(query, query_vec, self._index, k or self._top_k)
+        return top_k_by_vector(query, query_vec, self._index, self._top_k)
 
     def answer(self, query: str, result: RetrievalResult) -> AnswerCandidate:
         if not result.top:
             raise ValueError("retrieval result has no chunks")
         chunk_texts = [s.chunk.text for s in result.top]
         prompt = build_prompt(query, chunk_texts, self._templates.text("vector_header"))
-        try:
-            text = self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
-        except GatewayError as exc:
-            logger.warning("vector answer generation failed: %s", exc)
-            return unavailable_candidate("vector")
-        return AnswerCandidate(text=text, source="vector", evidence=tuple(chunk_texts))
+        text = self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
+        return AnswerCandidate(text=text, source=self.source, evidence=tuple(chunk_texts))
 
     def run(self, query: str, warnings: list[str] | None = None) -> AnswerCandidate:
-        try:
-            result = self.retrieve_top_k(query)
-        except GatewayError as exc:
-            logger.warning("vector retrieval failed: %s", exc)
-            if warnings is not None:
-                warnings.append(f"vector retrieval failed: {exc}")
-            return unavailable_candidate("vector")
-        return self.answer(query, result)
+        return run_agent(self, query, warnings)

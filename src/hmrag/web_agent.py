@@ -10,14 +10,13 @@ Answers carry their source URLs as evidence.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import requests  # unused here, but tests patch it on this module to forbid network access
 
-from .decision import AnswerCandidate, unavailable_candidate
-from .errors import GatewayError, ScriptMismatchError, SearchParseError
+from .decision import AnswerCandidate, run_agent
+from .errors import ScriptMismatchError, SearchParseError
 from .gateway import (
     CallLog,
     ChatTurn,
@@ -27,8 +26,6 @@ from .gateway import (
     post_with_retries,
 )
 from .templates import TemplateSet
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_SEARCH_ENDPOINT = "https://google.serper.dev/search"
 
@@ -141,6 +138,8 @@ def format_results(results) -> list[str]:
 
 
 class WebAgent:
+    source = "web"
+
     def __init__(self, gateway, client, cfg: SearchConfig | None = None,
                  templates: TemplateSet | None = None):
         self._gateway = gateway
@@ -151,29 +150,15 @@ class WebAgent:
     def search(self, query: str) -> list[SearchResult]:
         return self._client.search(query, self._cfg)
 
+    def retrieve(self, query: str, warnings: list[str] | None = None) -> list[SearchResult]:
+        return self.search(query)
+
     def answer(self, query: str, results) -> AnswerCandidate:
         lines = format_results(results)
         results_text = "\n".join(lines) if lines else _EMPTY_RESULTS
         prompt = self._templates.render("web_answer", question=query, results=results_text)
-        try:
-            text = self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
-        except GatewayError as exc:
-            logger.warning("web answer generation failed: %s", exc)
-            return unavailable_candidate("web")
-        return AnswerCandidate(text=text, source="web", evidence=tuple(r.url for r in results))
+        text = self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
+        return AnswerCandidate(text=text, source=self.source, evidence=tuple(r.url for r in results))
 
     def run(self, query: str, warnings: list[str] | None = None) -> AnswerCandidate:
-        try:
-            results = self.search(query)
-        except SearchParseError as exc:
-            message = f"web search response unparseable: {exc}; raw payload: {exc.raw_payload[:500]}"
-            logger.warning(message)
-            if warnings is not None:
-                warnings.append(message)
-            return unavailable_candidate("web")
-        except GatewayError as exc:
-            logger.warning("web search failed: %s", exc)
-            if warnings is not None:
-                warnings.append(f"web search failed: {exc}")
-            return unavailable_candidate("web")
-        return self.answer(query, results)
+        return run_agent(self, query, warnings)

@@ -4,8 +4,8 @@ import time
 import pytest
 
 import hmrag.gateway as gateway_mod
-from hmrag.decision import format_answers, AnswerCandidate
-from hmrag.errors import PipelineError
+from hmrag.decision import format_answers, AnswerCandidate, unavailable_candidate
+from hmrag.errors import BackendUnavailableError, PipelineError
 from hmrag.gateway import (
     CallLog,
     HashingEmbeddingBackend,
@@ -24,12 +24,13 @@ from hmrag.pipeline import (
     parse_eval_record,
     run_eval,
 )
+from hmrag.graph_agent import GraphAgent
 from hmrag.templates import TemplateSet
-from hmrag.vector_agent import build_prompt, top_k_by_vector
-from hmrag.web_agent import SearchConfig, StubSearchClient
+from hmrag.vector_agent import VectorAgent, build_prompt, top_k_by_vector
+from hmrag.web_agent import SearchConfig, StubSearchClient, WebAgent
 
 from conftest import FakeResponse, user_turns
-from world import build_world
+from world import EMBED_DIM, build_world
 
 TEMPLATES = TemplateSet()
 
@@ -202,11 +203,12 @@ def test_malformed_search_payload_degrades_web_candidate(small_world, payload):
     trace = pipeline.run_query(question)
     web_candidate = next(c for c in trace.entries[0].candidates if c.source == "web")
     assert web_candidate.available is False
-    assert any(w.startswith("web search response unparseable") for w in trace.entries[0].warnings)
+    assert any(w.startswith("web retrieval failed") for w in trace.entries[0].warnings)
     assert trace.final_answer == vector_text
 
 
-@pytest.mark.parametrize("embedding", [None, "abc", [[1.0], [1.0, 2.0]], [], [1.0, float("nan")]])
+@pytest.mark.parametrize("embedding", [None, "abc", [[1.0], [1.0, 2.0]], [], [1.0, float("nan")],
+                                       [1.0, 2.0], [0.0] * EMBED_DIM])
 def test_malformed_http_embedding_degrades_vector_candidate(small_world, monkeypatch, embedding):
     body = FakeResponse({"data": [{"embedding": embedding}]})
     monkeypatch.setattr(gateway_mod.requests, "post", lambda url, **kw: body)
@@ -224,6 +226,41 @@ def test_malformed_http_embedding_degrades_vector_candidate(small_world, monkeyp
     assert candidates["web"].available is True
     assert any(w.startswith("vector retrieval failed") for w in trace.entries[0].warnings)
     assert trace.final_answer == answer_text
+
+
+class DownBackend:
+    """Chat, embedding and search double whose every call fails as an unreachable server does."""
+
+    def complete(self, turns, params):
+        raise BackendUnavailableError("down")
+
+    def embed(self, text):
+        raise BackendUnavailableError("down")
+
+    def search(self, query, cfg):
+        raise BackendUnavailableError("down")
+
+
+@pytest.mark.parametrize("stage", ["retrieval", "answer"])
+@pytest.mark.parametrize("source", ["vector", "graph", "web"])
+def test_agent_failure_gives_unavailable_candidate_and_one_warning(small_world, source, stage):
+    down = DownBackend()
+    retrieval_works = stage == "answer"
+    # graph keywords come from the main chat role, its answer from the lightweight one
+    chat = small_world.book.backend() if retrieval_works and source == "graph" else down
+    embedding = small_world.embedding_backend() if retrieval_works else down
+    client = StubSearchClient(small_world.web_fixture) if retrieval_works else down
+    gateway = ModelGateway(chat=chat, embedding=embedding, lightweight_chat=down)
+    templates = small_world.templates
+    agent = {
+        "vector": lambda: VectorAgent(gateway, small_world.index, templates=templates),
+        "graph": lambda: GraphAgent(gateway, small_world.graph, templates=templates),
+        "web": lambda: WebAgent(gateway, client, templates=templates),
+    }[source]()
+    warnings = []
+    candidate = agent.run(format_eval_question(small_world.eval_records[0]), warnings)
+    assert candidate == unavailable_candidate(source)
+    assert warnings == [f"{source} {stage} failed: down"]
 
 
 def test_all_agents_unavailable_fails_with_diagnostic_trace():
@@ -245,6 +282,16 @@ def test_all_agents_unavailable_fails_with_diagnostic_trace():
     trace = exc_info.value.trace
     assert trace is not None
     assert trace.entries[0].candidates[0].available is False
+
+
+@pytest.mark.parametrize("field, value", [
+    ("top_k", 0), ("tau", -0.1), ("tau", 1.5), ("fusion_lambda", -0.5), ("fusion_lambda", 1.01),
+    ("consensus_threshold", -0.01), ("consensus_threshold", 2.0), ("bleu_max_n", 0),
+    ("summary_token_budget", 0), ("agent_timeout_s", 0.0), ("agent_timeout_s", -1.0),
+])
+def test_pipeline_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        PipelineConfig(**{field: value})
 
 
 def test_extract_choice_rules():
