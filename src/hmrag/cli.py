@@ -97,20 +97,19 @@ def build_gateway(cfg: dict, call_log: CallLog | None = None) -> ModelGateway:
     )
 
 
-def build_web_client(cfg: dict, call_log: CallLog | None = None):
+def build_web_client(cfg: dict):
     kind = str(cfg["web.backend"])
     if kind == "stub":
         fixture = str(cfg["web.stub_fixture_path"])
         if not fixture:
             raise ConfigError("web.backend = stub needs web.stub_fixture_path")
-        return StubSearchClient.from_file(fixture, call_log=call_log)
+        return StubSearchClient.from_file(fixture)
     if kind == "http":
         return SerperSearchClient(
             endpoint=str(cfg["web.search_endpoint"]),
             api_key_env=str(cfg["web.api_key_env"]),
             timeout_s=float(cfg["web.timeout_s"]),
             retries=int(cfg["web.retries"]),
-            call_log=call_log,
         )
     raise ConfigError(f"unknown web.backend {kind!r}")
 
@@ -171,7 +170,7 @@ def _make_pipeline(args) -> Pipeline:
     pipeline_cfg = build_pipeline_config(cfg, disabled, decision_enabled)
     call_log = CallLog()
     gateway = build_gateway(cfg, call_log)
-    web_client = build_web_client(cfg, call_log) if "web" in pipeline_cfg.enabled_agents else None
+    web_client = build_web_client(cfg) if "web" in pipeline_cfg.enabled_agents else None
     index, graph = _load_stores(Path(args.store), pipeline_cfg.enabled_agents)
     return Pipeline(
         gateway, index, graph, web_client,

@@ -28,7 +28,7 @@ from statistics import mean
 
 import numpy as np
 
-from .errors import GatewayError, PipelineError
+from .errors import GatewayError, PipelineError, trace_warning
 from .gateway import ChatTurn, DecodingParams
 from .kernels import lcs_length
 from .templates import TemplateSet
@@ -72,10 +72,7 @@ def run_agent(agent, query: str, warnings: list[str] | None = None) -> AnswerCan
         stage = "answer"
         return agent.answer(query, evidence)
     except GatewayError as exc:
-        message = f"{agent.source} {stage} failed: {exc}"
-        logger.warning(message)
-        if warnings is not None:
-            warnings.append(message)
+        trace_warning(warnings, f"{agent.source} {stage} failed: {exc}")
         return unavailable_candidate(agent.source)
 
 
@@ -206,8 +203,13 @@ class DecisionAgent:
         self.bleu_max_n = bleu_max_n
         self.summary_token_budget = summary_token_budget
 
-    def summarize(self, candidate: AnswerCandidate) -> AnswerCandidate:
-        """Attach a short model-written summary; unavailable candidates pass through."""
+    def summarize(self, candidate: AnswerCandidate,
+                  warnings: list[str] | None = None) -> AnswerCandidate:
+        """Attach a short model-written summary; unavailable candidates pass through.
+
+        A GatewayError marks the candidate unavailable and adds one warning,
+        "{source} summary failed: {error}".
+        """
         if not candidate.available:
             return candidate
         prompt = self._templates.render(
@@ -220,7 +222,7 @@ class DecisionAgent:
                 role="lightweight_chat",
             )
         except GatewayError as exc:
-            logger.warning("summarizer failed for %s candidate: %s", candidate.source, exc)
+            trace_warning(warnings, f"{candidate.source} summary failed: {exc}")
             return replace(candidate, available=False)
         return replace(candidate, summary=summary)
 
@@ -238,8 +240,11 @@ class DecisionAgent:
             role = "expert_chat"
         return self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams(), role=role)
 
-    def decide(self, query: str, candidates) -> tuple[str, ConsensusReport, list[AnswerCandidate]]:
+    def decide(self, query: str, candidates, warnings: list[str] | None = None
+               ) -> tuple[str, ConsensusReport, list[AnswerCandidate]]:
         """Vote over the available candidates and produce the final text.
+
+        A failed summary adds its warning to `warnings`, when given.
 
         Returns the final answer, the consensus report, and the candidate
         list as it stood at voting time (summaries attached, failures
@@ -251,7 +256,7 @@ class DecisionAgent:
 
         if sum(c.available for c in worked) >= 2:
             worked = [
-                self.summarize(c) if c.available and c.summary is None else c
+                self.summarize(c, warnings) if c.available and c.summary is None else c
                 for c in worked
             ]
         available = [c for c in worked if c.available]

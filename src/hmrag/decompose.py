@@ -8,15 +8,12 @@ single-intent path so a bad model response never kills the query.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass
 
-from .errors import ClassificationParseError
+from .errors import ClassificationParseError, trace_warning
 from .gateway import ChatTurn, DecodingParams
 from .templates import TemplateSet
-
-logger = logging.getLogger(__name__)
 
 MAX_SUB_QUERIES = 3
 
@@ -92,10 +89,8 @@ class DecompositionAgent:
             multi = self.judge_multi_intent(question)
         except ClassificationParseError as exc:
             multi = False
-            message = f"intent judgment unparseable, treating as single-intent: {exc}"
-            logger.warning(message)
-            if warnings is not None:
-                warnings.append(message)
+            trace_warning(warnings,
+                          f"intent judgment unparseable, treating as single-intent: {exc}")
         if not multi:
             return SubQueryPlan(question, (question,), multi_intent=False)
 
@@ -103,9 +98,7 @@ class DecompositionAgent:
         response = self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
         sub_questions = parse_sub_questions(response)[:MAX_SUB_QUERIES]
         if len(sub_questions) < 2:
-            message = "decomposition yielded fewer than 2 sub-questions, falling back to single-intent"
-            logger.warning(message)
-            if warnings is not None:
-                warnings.append(message)
+            trace_warning(warnings, "decomposition yielded fewer than 2 sub-questions, "
+                                    "falling back to single-intent")
             return SubQueryPlan(question, (question,), multi_intent=False)
         return SubQueryPlan(question, tuple(sub_questions), multi_intent=True)

@@ -1,4 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one way a step that
+degrades instead of failing reports itself."""
+
+import logging
+
+logger = logging.getLogger(__name__)
+
+
+def trace_warning(warnings: list[str] | None, message: str) -> None:
+    """Log `message` and append it to the trace's `warnings`, when given."""
+    logger.warning(message)
+    if warnings is not None:
+        warnings.append(message)
 
 
 class HmragError(Exception):

@@ -12,10 +12,11 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
-import logging
 import mimetypes
 import os
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +30,6 @@ from .errors import (
     GatewayError,
     ScriptMismatchError,
 )
-
-logger = logging.getLogger(__name__)
 
 CHAT_ROLES = ("chat", "lightweight_chat", "expert_chat")
 _TURN_ROLES = ("system", "user", "assistant")
@@ -89,23 +88,34 @@ class CallRecord:
     detail: str
 
 
-class CallLog:
-    """Thread-safe sink collecting every backend call for the trace."""
+# the call list of the query running in this context; None outside CallLog.collect()
+_open_calls: ContextVar[list[CallRecord] | None] = ContextVar("hmrag_open_calls", default=None)
+_calls_lock = threading.Lock()  # fan-out threads of one query append to one list
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._records: list[CallRecord] = []
+
+class CallLog:
+    """Collects each query's backend calls for its trace.
+
+    `collect()` opens a fresh list in the current context, and `record`
+    appends to whatever list is open there. Threads run in a copy of the
+    query's context share its list, so concurrent queries never see each
+    other's calls; a call made outside `collect()` is dropped.
+    """
 
     def record(self, kind: str, role: str, detail: str) -> None:
-        with self._lock:
-            self._records.append(CallRecord(kind, role, detail[:120]))
+        calls = _open_calls.get()
+        if calls is not None:
+            with _calls_lock:
+                calls.append(CallRecord(kind, role, detail[:120]))
 
-    def take(self) -> list[CallRecord]:
-        """Drain and return all records collected so far."""
-        with self._lock:
-            records = self._records
-            self._records = []
-        return records
+    @contextmanager
+    def collect(self):
+        """Open a call list for the enclosed work and yield it."""
+        token = _open_calls.set([])
+        try:
+            yield _open_calls.get()
+        finally:
+            _open_calls.reset(token)
 
 
 def canonical_turn_key(turns) -> str:
@@ -364,7 +374,8 @@ class ModelGateway:
         self._dim_lock = threading.Lock()
         self._dim: int | None = None
 
-    def _record(self, kind: str, role: str, detail: str) -> None:
+    def record_call(self, kind: str, role: str, detail: str) -> None:
+        """Record a backend call, when this gateway has a call log."""
         if self._call_log is not None:
             self._call_log.record(kind, role, detail)
 
@@ -374,7 +385,7 @@ class ModelGateway:
         if role not in self._chat_backends:
             raise ConfigError(f"unknown chat role {role!r}")
         params = params or DecodingParams()
-        self._record("chat", role, turns[-1].content)
+        self.record_call("chat", role, turns[-1].content)
         return self._chat_backends[role].complete(list(turns), params)
 
     def embed_text(self, text: str) -> np.ndarray:
@@ -382,7 +393,7 @@ class ModelGateway:
             raise ValueError("cannot embed empty text")
         if self._embedding is None:
             raise ConfigError("no embedding backend configured")
-        self._record("embedding", "embedding", text)
+        self.record_call("embedding", "embedding", text)
         vector = np.asarray(self._embedding.embed(text), dtype=np.float64)
         with self._dim_lock:
             if self._dim is None:
@@ -398,5 +409,5 @@ class ModelGateway:
             raise ValueError("image_ref must be non-empty")
         if self._caption is None:
             raise ConfigError("no caption backend configured")
-        self._record("caption", "caption", image_ref)
+        self.record_call("caption", "caption", image_ref)
         return self._caption.caption(image_ref)

@@ -10,18 +10,16 @@ and triplet endpoints before being serialized for answer generation.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .decision import AnswerCandidate, run_agent
+from .errors import trace_warning
 from .gateway import ChatTurn, DecodingParams
 from .ingest import KnowledgeGraph
 from .kernels import cosine_scores
 from .templates import TemplateSet
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TAU = 0.3
 
@@ -180,10 +178,8 @@ class GraphAgent:
         response = self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
         parsed = _parse_keyword_response(response)
         if parsed is None:
-            message = f"keyword extraction unparseable, falling back to query content words: {response[:60]!r}"
-            logger.warning(message)
-            if warnings is not None:
-                warnings.append(message)
+            trace_warning(warnings, "keyword extraction unparseable, falling back to query "
+                                    f"content words: {response[:60]!r}")
             return fallback_keywords(query)
         return parsed
 

@@ -13,17 +13,15 @@ an identical corpus with scripted backends yields byte-identical files.
 from __future__ import annotations
 
 import json
-import logging
 from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .errors import trace_warning
 from .gateway import ChatTurn, DecodingParams
 from .templates import TemplateSet
-
-logger = logging.getLogger(__name__)
 
 FUSION_SEPARATOR = "\n\n"
 
@@ -326,19 +324,9 @@ def build_index(chunks: list[Chunk], gateway) -> EmbeddingIndex:
     ids = [c.chunk_id for c in chunks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate chunk_id in chunk list")
-    rows = []
-    dim = None
-    for chunk in chunks:
-        vector = gateway.embed_text(chunk.text)
-        if dim is None:
-            dim = vector.shape[0]
-        elif vector.shape[0] != dim:
-            raise ValueError(
-                f"embedding dimension drifted at {chunk.chunk_id!r}: {vector.shape[0]} != {dim}"
-            )
-        rows.append(vector)
-    matrix = np.vstack(rows)
-    return EmbeddingIndex(dim, ids, [c.text for c in chunks], matrix)
+    # the gateway raises EmbeddingError if the backend's vector length drifts
+    matrix = np.vstack([gateway.embed_text(chunk.text) for chunk in chunks])
+    return EmbeddingIndex(matrix.shape[1], ids, [c.text for c in chunks], matrix)
 
 
 def parse_extraction_response(response: str) -> tuple[list[tuple[str, str]], list[tuple[str, str, str]]]:
@@ -369,10 +357,8 @@ def extract_graph(docs: list[FusedDocument], gateway, templates: TemplateSet,
         response = gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
         entities, triplets = parse_extraction_response(response)
         if not entities and not triplets:
-            message = f"extraction produced no parseable lines for document {doc.id!r}; skipped"
-            logger.warning(message)
-            if warnings is not None:
-                warnings.append(message)
+            trace_warning(warnings,
+                          f"extraction produced no parseable lines for document {doc.id!r}; skipped")
             continue
         for name, description in entities:
             graph.add_entity(name, description, visual_location=doc.image_ref)

@@ -12,11 +12,13 @@ verbatim, falling back to vector then graph.
 from __future__ import annotations
 
 import concurrent.futures
+import contextvars
 import json
 import logging
 import re
 import time
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .decompose import DecompositionAgent, SubQueryPlan
@@ -197,7 +199,10 @@ class Pipeline:
         warnings = {source: [] for source in self._order}
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=len(self._order))
         try:
-            futures = {source: pool.submit(self._agents[source].run, query, warnings[source])
+            # each agent runs in a copy of the query's context, so its calls, late
+            # ones from a timed-out agent too, land only in this query's call list
+            futures = {source: pool.submit(contextvars.copy_context().run,
+                                           self._agents[source].run, query, warnings[source])
                        for source in self._order}
             for source in self._order:
                 try:
@@ -226,57 +231,58 @@ class Pipeline:
         if not question or not question.strip():
             raise ValueError("question must be non-empty")
         trace = QueryTrace(question=question)
-        if self._call_log is not None:
-            self._call_log.take()  # drop records from earlier work
         started = time.perf_counter()
-        try:
-            plan = self._decomposer.decompose(question, trace.warnings)
-            trace.plan = plan
-            trace.timings["decompose_s"] = time.perf_counter() - started
+        calls = self._call_log.collect() if self._call_log is not None else nullcontext([])
+        with calls as records:
+            try:
+                plan = self._decomposer.decompose(question, trace.warnings)
+                trace.plan = plan
+                trace.timings["decompose_s"] = time.perf_counter() - started
 
-            prior: list[tuple[str, str]] = []
-            for sub_query in plan.sub_queries:
-                contextual = compose_contextual_query(sub_query, prior)
-                entry = SubQueryTrace(sub_query=sub_query, contextual_query=contextual)
-                trace.entries.append(entry)
-                fan_started = time.perf_counter()
-                candidates = self._fan_out(contextual, entry)
-                entry.timings["fanout_s"] = time.perf_counter() - fan_started
+                prior: list[tuple[str, str]] = []
+                for sub_query in plan.sub_queries:
+                    contextual = compose_contextual_query(sub_query, prior)
+                    entry = SubQueryTrace(sub_query=sub_query, contextual_query=contextual)
+                    trace.entries.append(entry)
+                    fan_started = time.perf_counter()
+                    candidates = self._fan_out(contextual, entry)
+                    entry.timings["fanout_s"] = time.perf_counter() - fan_started
 
-                decide_started = time.perf_counter()
-                if self.cfg.decision_enabled:
-                    try:
-                        answer, report, candidates = self._decision.decide(contextual, candidates)
-                    except PipelineError as exc:
-                        entry.candidates = candidates
-                        raise PipelineError(str(exc), trace=trace) from exc
-                    entry.report = report
-                else:
-                    chosen = self._fallback_answer(candidates)
-                    if chosen is None:
-                        entry.candidates = candidates
-                        raise PipelineError(
-                            "no available answer candidates to decide over", trace=trace
-                        )
-                    answer = chosen.text
-                entry.candidates = candidates
-                entry.answer = answer
-                entry.timings["decision_s"] = time.perf_counter() - decide_started
-                prior.append((sub_query, answer))
+                    decide_started = time.perf_counter()
+                    if self.cfg.decision_enabled:
+                        try:
+                            answer, report, candidates = self._decision.decide(
+                                contextual, candidates, entry.warnings)
+                        except PipelineError as exc:
+                            # decide fails only once no candidate is usable, summaries included
+                            entry.candidates = [replace(c, available=False) for c in candidates]
+                            raise PipelineError(str(exc), trace=trace) from exc
+                        entry.report = report
+                    else:
+                        chosen = self._fallback_answer(candidates)
+                        if chosen is None:
+                            entry.candidates = candidates
+                            raise PipelineError(
+                                "no available answer candidates to decide over", trace=trace
+                            )
+                        answer = chosen.text
+                    entry.candidates = candidates
+                    entry.answer = answer
+                    entry.timings["decision_s"] = time.perf_counter() - decide_started
+                    prior.append((sub_query, answer))
 
-            final = prior[-1][1]
-            if plan.multi_intent:
-                blocks = "\n\n".join(f"Q: {q}\nA: {a}" for q, a in prior)
-                prompt = self._templates.render("final_refine", question=question, answers=blocks)
-                final = self._gateway.complete_chat(
-                    [ChatTurn("user", prompt)], DecodingParams(), role="lightweight_chat"
-                )
-            trace.final_answer = final
-            return trace
-        finally:
-            trace.timings["total_s"] = time.perf_counter() - started
-            if self._call_log is not None:
-                trace.calls = self._call_log.take()
+                final = prior[-1][1]
+                if plan.multi_intent:
+                    blocks = "\n\n".join(f"Q: {q}\nA: {a}" for q, a in prior)
+                    prompt = self._templates.render("final_refine", question=question, answers=blocks)
+                    final = self._gateway.complete_chat(
+                        [ChatTurn("user", prompt)], DecodingParams(), role="lightweight_chat"
+                    )
+                trace.final_answer = final
+                return trace
+            finally:
+                trace.timings["total_s"] = time.perf_counter() - started
+                trace.calls = list(records)
 
 
 @dataclass(frozen=True)

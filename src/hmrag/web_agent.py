@@ -17,14 +17,7 @@ import requests  # unused here, but tests patch it on this module to forbid netw
 
 from .decision import AnswerCandidate, run_agent
 from .errors import ScriptMismatchError, SearchParseError
-from .gateway import (
-    CallLog,
-    ChatTurn,
-    DecodingParams,
-    ModelBackendConfig,
-    json_headers,
-    post_with_retries,
-)
+from .gateway import ChatTurn, DecodingParams, ModelBackendConfig, json_headers, post_with_retries
 from .templates import TemplateSet
 
 DEFAULT_SEARCH_ENDPOINT = "https://google.serper.dev/search"
@@ -86,11 +79,10 @@ def parse_search_response(data: dict, cfg: SearchConfig, raw_payload: str = "") 
 
 class SerperSearchClient:
     def __init__(self, endpoint: str = DEFAULT_SEARCH_ENDPOINT, api_key_env: str = "SERPER_API_KEY",
-                 timeout_s: float = 30.0, retries: int = 2, call_log: CallLog | None = None):
+                 timeout_s: float = 30.0, retries: int = 2):
         # ModelBackendConfig rejects a non-positive timeout and negative retries.
         self.config = ModelBackendConfig(endpoint, api_key_env=api_key_env,
                                          timeout_s=timeout_s, retries=retries)
-        self._call_log = call_log
 
     def search(self, query: str, cfg: SearchConfig) -> list[SearchResult]:
         if not query or not query.strip():
@@ -99,8 +91,6 @@ class SerperSearchClient:
         payload = {"q": query, "num": cfg.num_results, "hl": cfg.language}
         if cfg.type_ != "web":
             payload["type"] = cfg.type_
-        if self._call_log is not None:
-            self._call_log.record("search", "web", query)
         response = post_with_retries(self.config, payload, headers)
         try:
             data = response.json()
@@ -113,19 +103,16 @@ class SerperSearchClient:
 class StubSearchClient:
     """Serves canned Serper-format JSON keyed by the exact query string."""
 
-    def __init__(self, fixture: dict[str, dict], call_log: CallLog | None = None):
+    def __init__(self, fixture: dict[str, dict]):
         self._fixture = dict(fixture)
-        self._call_log = call_log
 
     @classmethod
-    def from_file(cls, path, call_log: CallLog | None = None) -> "StubSearchClient":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")), call_log=call_log)
+    def from_file(cls, path) -> "StubSearchClient":
+        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def search(self, query: str, cfg: SearchConfig) -> list[SearchResult]:
         if not query or not query.strip():
             raise ValueError("query must be non-empty")
-        if self._call_log is not None:
-            self._call_log.record("search", "web", query)
         try:
             data = self._fixture[query]
         except KeyError:
@@ -148,6 +135,8 @@ class WebAgent:
         self._templates = templates or TemplateSet()
 
     def search(self, query: str) -> list[SearchResult]:
+        """The one place a web search is recorded in the query's calls."""
+        self._gateway.record_call("search", "web", query)
         return self._client.search(query, self._cfg)
 
     def retrieve(self, query: str, warnings: list[str] | None = None) -> list[SearchResult]:

@@ -322,18 +322,24 @@ def test_http_caption_passes_urls_through(monkeypatch):
 def test_call_log_records_roles(hashing_backend):
     log = CallLog()
     gateway = make_gateway(embedding=hashing_backend, call_log=log)
-    gateway.complete_chat(user_turns("hi"))
-    gateway.complete_chat(user_turns("hi"), role="expert_chat")
-    gateway.embed_text("hello")
-    records = log.take()
+    with log.collect() as records:
+        gateway.complete_chat(user_turns("hi"))
+        gateway.complete_chat(user_turns("hi"), role="expert_chat")
+        gateway.embed_text("hello")
     assert [(r.kind, r.role) for r in records] == [
         ("chat", "chat"), ("chat", "expert_chat"), ("embedding", "embedding"),
     ]
-    assert log.take() == []
+    gateway.complete_chat(user_turns("outside"))  # no list is open: dropped
+    with log.collect() as fresh:
+        pass
+    assert fresh == []
+    assert len(records) == 3
 
 
 def test_call_log_is_thread_safe(hashing_backend):
     import concurrent.futures
+    import contextvars
+    import sys
 
     log = CallLog()
     gateway = make_gateway(embedding=hashing_backend, call_log=log)
@@ -342,9 +348,37 @@ def test_call_log_is_thread_safe(hashing_backend):
         for _ in range(50):
             gateway.embed_text(f"text {i}")
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(worker, range(8)))
-    assert len(log.take()) == 400
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with log.collect() as records, concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(contextvars.copy_context().run, worker, i) for i in range(8)]
+            for future in futures:
+                future.result(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(records) == 400
+
+
+def test_nested_collect_keeps_each_list_apart(hashing_backend):
+    log = CallLog()
+    gateway = make_gateway(embedding=hashing_backend, call_log=log)
+    with log.collect() as outer:
+        gateway.embed_text("before")
+        with log.collect() as inner:
+            gateway.embed_text("inside")
+        gateway.embed_text("after")
+    assert [r.detail for r in outer] == ["before", "after"]
+    assert [r.detail for r in inner] == ["inside"]
+
+
+def test_gateway_without_call_log_records_nothing(hashing_backend):
+    log = CallLog()
+    gateway = make_gateway(embedding=hashing_backend)
+    with log.collect() as records:
+        gateway.complete_chat(user_turns("hi"))
+        gateway.embed_text("hello")
+    assert records == []
 
 
 def test_scripted_chat_from_file(tmp_path):

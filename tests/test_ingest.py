@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from hmrag.errors import EmbeddingError
 from hmrag.gateway import ScriptedCaptionBackend, ScriptedChatBackend
 from hmrag.ingest import (
     Chunk,
@@ -109,6 +111,23 @@ def test_build_index_rejects_duplicate_chunk_ids(hashing_backend):
     gateway = make_gateway(embedding=hashing_backend)
     chunks = [Chunk("c0", "d", "a", (0, 1)), Chunk("c0", "d", "b", (1, 2))]
     with pytest.raises(ValueError):
+        build_index(chunks, gateway)
+
+
+def test_build_index_rejects_embedding_length_drift():
+    class DriftingEmbedding:
+        """Embedding double whose vectors grow by one after the first call."""
+
+        def __init__(self):
+            self.calls = 0
+
+        def embed(self, text):
+            self.calls += 1
+            return np.ones(8 if self.calls == 1 else 9)
+
+    gateway = make_gateway(embedding=DriftingEmbedding())
+    chunks = [Chunk(f"c{i}", "d", f"text number {i}", (i, i + 1)) for i in range(3)]
+    with pytest.raises(EmbeddingError):
         build_index(chunks, gateway)
 
 

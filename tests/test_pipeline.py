@@ -1,4 +1,6 @@
+import concurrent.futures
 import json
+import threading
 import time
 
 import pytest
@@ -30,7 +32,7 @@ from hmrag.vector_agent import VectorAgent, build_prompt, top_k_by_vector
 from hmrag.web_agent import SearchConfig, StubSearchClient, WebAgent
 
 from conftest import FakeResponse, user_turns
-from world import EMBED_DIM, build_world
+from world import EMBED_DIM, SUMMARY_BUDGET, build_world
 
 TEMPLATES = TemplateSet()
 
@@ -97,6 +99,16 @@ def test_trace_records_every_backend_call(small_world):
     # one embed for the vector query plus one per entity/relation/keyword scan
     assert kinds["embedding"] > 1
     assert all(r.role for r in trace.calls)
+
+
+def test_concurrent_queries_keep_their_own_traces():
+    world = build_world(n=20)
+    pipeline = world.make_pipeline()
+    questions = [format_eval_question(r) for r in world.eval_records]
+    serial = [pipeline.run_query(q).normalized() for q in questions]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+        concurrent_runs = list(pool.map(lambda q: pipeline.run_query(q).normalized(), questions))
+    assert concurrent_runs == serial
 
 
 def _mini_vector_store(texts):
@@ -191,6 +203,46 @@ def test_agent_timeout_yields_unavailable_candidate(small_world):
     assert elapsed < 0.45  # the stuck agent must not stall the query
 
 
+LATE_DETAIL = "late call from a timed-out search"
+
+
+class LateSearch:
+    """Search double whose first search outlives the agent timeout: it waits
+    until the next query is searching, then calls the gateway."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.gateway = None
+        self.first = True
+        self.next_query_searching = threading.Event()
+        self.late_call_made = threading.Event()
+
+    def search(self, query, cfg):
+        if self.first:
+            self.first = False
+            self.next_query_searching.wait(5)
+            self.gateway.embed_text(LATE_DETAIL)
+            self.late_call_made.set()
+        else:
+            self.next_query_searching.set()
+            self.late_call_made.wait(5)
+        return self.inner.search(query, cfg)
+
+
+def test_timed_out_agent_calls_stay_out_of_later_traces(small_world):
+    client = LateSearch(StubSearchClient(small_world.web_fixture))
+    pipeline = small_world.make_pipeline(web_client=client, agent_timeout_s=0.3)
+    client.gateway = pipeline._gateway
+    questions = [format_eval_question(r) for r in small_world.eval_records]
+    first = pipeline.run_query(questions[0])
+    assert any("web agent timed out" in w for w in first.entries[0].warnings)
+    later = [pipeline.run_query(q) for q in questions[1:] + questions[:1]]
+    assert client.late_call_made.is_set()
+    for trace in [first] + later:
+        assert LATE_DETAIL not in [c.detail for c in trace.calls]
+    assert all(sum(c.kind == "search" for c in t.calls) == 1 for t in later)
+
+
 @pytest.mark.parametrize("payload", [
     {"organic": [{"link": "https://a", "position": 1}, {"link": "https://b", "position": "two"}]},
     {"organic": [{"link": "https://a", "position": 1}, {"link": "https://b", "position": 1}]},
@@ -282,6 +334,37 @@ def test_all_agents_unavailable_fails_with_diagnostic_trace():
     trace = exc_info.value.trace
     assert trace is not None
     assert trace.entries[0].candidates[0].available is False
+
+
+def test_summary_failures_reach_the_error_trace(small_world):
+    class SummaryDown:
+        """Lightweight-chat double that fails summary prompts and serves the rest."""
+
+        def __init__(self, inner, summary_prompt):
+            self.inner = inner
+            self.summary_prompt = summary_prompt
+
+        def complete(self, turns, params):
+            if turns[-1].content == self.summary_prompt:
+                raise BackendUnavailableError("summarizer down")
+            return self.inner.complete(turns, params)
+
+    record = small_world.eval_records[0]
+    pipeline = small_world.make_pipeline()
+    backends = pipeline._gateway._chat_backends
+    summary_prompt = small_world.templates.render(
+        "summarize", text=small_world.answer_texts[record.id], budget=SUMMARY_BUDGET)
+    backends["lightweight_chat"] = SummaryDown(backends["chat"], summary_prompt)
+    with pytest.raises(PipelineError) as exc_info:
+        pipeline.run_query(format_eval_question(record))
+    trace = exc_info.value.trace
+    entry = trace.entries[0]
+    assert [(c.source, c.available) for c in entry.candidates] == [
+        ("vector", False), ("graph", False), ("web", False)]
+    assert entry.warnings == [f"{source} summary failed: summarizer down"
+                              for source in ("vector", "graph", "web")]
+    # the calls made before the failure still reach the trace
+    assert sum(c.role == "lightweight_chat" for c in trace.calls) == 4
 
 
 @pytest.mark.parametrize("field, value", [

@@ -198,7 +198,8 @@ def test_run_degrades_to_unavailable_on_parse_error_and_keeps_payload():
 
 def test_search_calls_are_logged():
     log = CallLog()
-    client = StubSearchClient(PLANET_FIXTURE, call_log=log)
-    client.search("largest planet", SearchConfig())
-    records = log.take()
+    agent = WebAgent(make_gateway(call_log=log), StubSearchClient(PLANET_FIXTURE),
+                     SearchConfig(), TEMPLATES)
+    with log.collect() as records:
+        agent.search("largest planet")
     assert [(r.kind, r.role) for r in records] == [("search", "web")]

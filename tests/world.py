@@ -124,7 +124,7 @@ class World:
         return HashingEmbeddingBackend(dim=EMBED_DIM, seed=EMBED_SEED)
 
     def make_pipeline(self, enabled=("vector", "graph", "web"), decision_enabled=True,
-                      call_log=None):
+                      call_log=None, web_client=None, agent_timeout_s=30.0):
         call_log = call_log or CallLog()
         gateway = ModelGateway(
             chat=self.book.backend(),
@@ -132,13 +132,14 @@ class World:
             caption=ScriptedCaptionBackend(self.captions),
             call_log=call_log,
         )
-        web_client = StubSearchClient(self.web_fixture, call_log=call_log)
+        web_client = web_client or StubSearchClient(self.web_fixture)
         cfg = PipelineConfig(
             enabled_agents=tuple(enabled),
             decision_enabled=decision_enabled,
             top_k=TOP_K,
             tau=TAU,
             summary_token_budget=SUMMARY_BUDGET,
+            agent_timeout_s=agent_timeout_s,
             search=SearchConfig(num_results=TOP_K),
         )
         return Pipeline(gateway, self.index, self.graph, web_client,
