@@ -97,15 +97,6 @@ class ConsensusReport:
         if self.route != expected_route:
             raise ValueError(f"route {self.route!r} inconsistent with consensus={self.consensus}")
 
-    def to_dict(self) -> dict:
-        return {
-            "pair_scores": {k: dict(v) for k, v in sorted(self.pair_scores.items())},
-            "mean_fused": self.mean_fused,
-            "threshold": self.threshold,
-            "consensus": self.consensus,
-            "route": self.route,
-        }
-
 
 def tokenize(text: str) -> list[str]:
     """Case-fold and split on whitespace and punctuation."""

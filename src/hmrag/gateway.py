@@ -31,7 +31,6 @@ from .errors import (
     ScriptMismatchError,
 )
 
-CHAT_ROLES = ("chat", "lightweight_chat", "expert_chat")
 _TURN_ROLES = ("system", "user", "assistant")
 
 

@@ -122,21 +122,20 @@ def expand_one_hop(sub: Subgraph, graph: KnowledgeGraph) -> Subgraph:
     """Grow the subgraph by the immediate neighborhood of its members.
 
     Retrieved nodes are the seeds plus every endpoint of a retrieved
-    triplet; all their graph neighbors join the entity set, and triplets
-    connecting back to a retrieved node are added.
+    triplet; every graph triplet incident to a retrieved node is added,
+    and its endpoints join the entity set.
     """
     base = set(sub.seed_entities)
     for head, _, tail in sub.triplets:
         base.add(head)
         base.add(tail)
     expanded = set(base)
-    for name in base:
-        expanded |= graph.neighbors(name)
-
-    triplets: dict[tuple[str, str, str], None] = {t: None for t in sub.triplets}
+    triplets: dict[tuple[str, str, str], None] = dict.fromkeys(sub.triplets)
     for triplet in graph.triplets:
         head, _, tail = triplet
-        if head in expanded and tail in expanded and (head in base or tail in base):
+        if head in base or tail in base:
+            expanded.add(head)
+            expanded.add(tail)
             triplets.setdefault(triplet, None)
     return Subgraph(
         triplets=tuple(triplets),

@@ -133,26 +133,15 @@ class EmbeddingIndex:
         return cls(dim, chunk_ids, texts, matrix)
 
 
+@dataclass
 class Entity:
-    def __init__(self, name: str, description: str = "", visual_location: str | None = None):
-        self.name = name
-        self.description = description
-        self.visual_location = visual_location
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Entity)
-            and self.name == other.name
-            and self.description == other.description
-            and self.visual_location == other.visual_location
-        )
-
-    def __repr__(self):
-        return f"Entity({self.name!r}, {self.description!r}, {self.visual_location!r})"
+    name: str
+    description: str = ""
+    visual_location: str | None = None
 
 
 class KnowledgeGraph:
-    """Entities plus (head, relation, tail) triplets with adjacency lookup.
+    """Entities plus (head, relation, tail) triplets.
 
     Entity names are deduplicated case-insensitively; the first-seen
     spelling is kept as canonical. Triplets referencing an undeclared
@@ -163,7 +152,6 @@ class KnowledgeGraph:
     def __init__(self):
         self._entities: dict[str, Entity] = {}  # casefolded name -> Entity
         self._triplets: dict[tuple[str, str, str], tuple[str, str, str]] = {}
-        self._adjacency: dict[str, set[str]] = {}
 
     def __len__(self):
         return len(self._entities)
@@ -199,7 +187,6 @@ class KnowledgeGraph:
         if entity is None:
             entity = Entity(name, description, visual_location)
             self._entities[key] = entity
-            self._adjacency.setdefault(key, set())
         else:
             if not entity.description and description:
                 entity.description = description
@@ -217,13 +204,6 @@ class KnowledgeGraph:
         if key in self._triplets:
             return
         self._triplets[key] = (head_entity.name, relation, tail_entity.name)
-        self._adjacency[head_entity.name.casefold()].add(tail_entity.name.casefold())
-        self._adjacency[tail_entity.name.casefold()].add(head_entity.name.casefold())
-
-    def neighbors(self, name: str) -> set[str]:
-        """Canonical names of entities sharing a triplet with `name`."""
-        key = name.casefold()
-        return {self._entities[k].name for k in self._adjacency.get(key, ())}
 
     def validate(self) -> None:
         for head, _, tail in self._triplets.values():

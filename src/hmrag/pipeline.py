@@ -18,7 +18,7 @@ import logging
 import re
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .decompose import DecompositionAgent, SubQueryPlan
@@ -29,7 +29,7 @@ from .decision import (
     DecisionAgent,
     unavailable_candidate,
 )
-from .errors import PipelineError
+from .errors import GatewayError, PipelineError, trace_warning
 from .gateway import CallLog, ChatTurn, DecodingParams, ModelGateway
 from .ingest import EmbeddingIndex, KnowledgeGraph
 from .graph_agent import GraphAgent
@@ -84,23 +84,6 @@ class SubQueryTrace:
     warnings: list[str] = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        data = {
-            "sub_query": self.sub_query,
-            "contextual_query": self.contextual_query,
-            "candidates": [
-                {"text": c.text, "source": c.source, "evidence": list(c.evidence),
-                 "summary": c.summary, "available": c.available}
-                for c in self.candidates
-            ],
-            "report": self.report.to_dict() if self.report else None,
-            "answer": self.answer,
-            "warnings": list(self.warnings),
-        }
-        if include_timings:
-            data["timings"] = dict(self.timings)
-        return data
-
 
 @dataclass
 class QueryTrace:
@@ -113,7 +96,7 @@ class QueryTrace:
     timings: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return self._as_dict(include_timings=True, sort_calls=False)
+        return asdict(self)
 
     def normalized(self) -> dict:
         """Comparison form: timing fields dropped, call order canonicalized.
@@ -121,26 +104,11 @@ class QueryTrace:
         Fan-out threads record calls in completion order, so the raw call
         list is not stable across runs even when the calls themselves are.
         """
-        return self._as_dict(include_timings=False, sort_calls=True)
-
-    def _as_dict(self, include_timings: bool, sort_calls: bool) -> dict:
-        calls = [{"kind": c.kind, "role": c.role, "detail": c.detail} for c in self.calls]
-        if sort_calls:
-            calls.sort(key=lambda c: (c["kind"], c["role"], c["detail"]))
-        data = {
-            "question": self.question,
-            "plan": None if self.plan is None else {
-                "original": self.plan.original,
-                "sub_queries": list(self.plan.sub_queries),
-                "multi_intent": self.plan.multi_intent,
-            },
-            "entries": [e.to_dict(include_timings=include_timings) for e in self.entries],
-            "final_answer": self.final_answer,
-            "warnings": list(self.warnings),
-            "calls": calls,
-        }
-        if include_timings:
-            data["timings"] = dict(self.timings)
+        data = asdict(self)
+        del data["timings"]
+        for entry in data["entries"]:
+            del entry["timings"]
+        data["calls"].sort(key=lambda c: (c["kind"], c["role"], c["detail"]))
         return data
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -210,9 +178,8 @@ class Pipeline:
                     entry.warnings.extend(warnings[source])
                 except concurrent.futures.TimeoutError:
                     candidate = unavailable_candidate(source)
-                    entry.warnings.append(
-                        f"{source} agent timed out after {self.cfg.agent_timeout_s}s"
-                    )
+                    trace_warning(entry.warnings,
+                                  f"{source} agent timed out after {self.cfg.agent_timeout_s}s")
                 candidates.append(candidate)
         finally:
             # wait=False so a timed-out agent cannot stall the query; its
@@ -280,6 +247,10 @@ class Pipeline:
                     )
                 trace.final_answer = final
                 return trace
+            except GatewayError as exc:
+                # the agents degrade on their own; a failed decompose, refine or
+                # final-refine call ends the query, with the trace so far
+                raise PipelineError(f"backend call failed: {exc}", trace=trace) from exc
             finally:
                 trace.timings["total_s"] = time.perf_counter() - started
                 trace.calls = list(records)

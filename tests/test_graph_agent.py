@@ -147,38 +147,54 @@ def adjacency_oracle(sub, graph):
             expanded.add(t)
         if t in base:
             expanded.add(h)
-    triplets = set(sub.triplets)
+    # the subgraph's own triplets first, then the new ones in graph order
+    triplets = dict.fromkeys(sub.triplets)
     for h, r, t in graph.triplets:
         if h in expanded and t in expanded and (h in base or t in base):
-            triplets.add((h, r, t))
-    return expanded, triplets
+            triplets.setdefault((h, r, t), None)
+    return expanded, tuple(triplets)
+
+
+def _random_case(name, rng):
+    return "".join(c.upper() if rng.integers(2) else c.lower() for c in name)
+
+
+def _random_graph_and_subgraph(rng, mixed_case):
+    # mixed_case: triplets name their endpoints in random case, which the
+    # graph folds onto the first-seen spelling
+    graph = KnowledgeGraph()
+    n = int(rng.integers(2, 30))
+    names = [f"e{i}" for i in range(n)]
+    for name in names:
+        graph.add_entity(name)
+    for _ in range(int(rng.integers(1, 3 * n))):
+        h, t = rng.choice(n, size=2, replace=False)
+        head, tail = names[h], names[t]
+        if mixed_case:
+            head, tail = _random_case(head, rng), _random_case(tail, rng)
+        graph.add_triplet(head, f"r{rng.integers(5)}", tail)
+    n_seeds = int(rng.integers(0, min(4, n + 1)))
+    seeds = frozenset(rng.choice(names, size=n_seeds, replace=False).tolist())
+    all_triplets = graph.triplets
+    picked = tuple(all_triplets[i] for i in
+                   rng.choice(len(all_triplets), size=min(2, len(all_triplets)), replace=False))
+    sub = Subgraph(
+        triplets=picked, seed_entities=seeds,
+        expanded_entities=seeds | {x for t in picked for x in (t[0], t[2])},
+    )
+    return graph, sub
 
 
 def test_expand_one_hop_matches_adjacency_oracle_on_random_graphs():
-    rng = np.random.default_rng(17)
-    for _ in range(50):
-        graph = KnowledgeGraph()
-        n = int(rng.integers(2, 30))
-        names = [f"e{i}" for i in range(n)]
-        for name in names:
-            graph.add_entity(name)
-        for _ in range(int(rng.integers(1, 3 * n))):
-            h, t = rng.choice(n, size=2, replace=False)
-            graph.add_triplet(names[h], f"r{rng.integers(5)}", names[t])
-        n_seeds = int(rng.integers(0, min(4, n + 1)))
-        seeds = frozenset(rng.choice(names, size=n_seeds, replace=False).tolist())
-        all_triplets = graph.triplets
-        picked = tuple(all_triplets[i] for i in
-                       rng.choice(len(all_triplets), size=min(2, len(all_triplets)), replace=False))
-        sub = Subgraph(
-            triplets=picked, seed_entities=seeds,
-            expanded_entities=seeds | {x for t in picked for x in (t[0], t[2])},
-        )
-        expanded = expand_one_hop(sub, graph)
-        oracle_entities, oracle_triplets = adjacency_oracle(sub, graph)
-        assert expanded.expanded_entities == oracle_entities
-        assert set(expanded.triplets) == oracle_triplets
-        assert expanded.expanded_entities >= sub.expanded_entities
+    for mixed_case in (False, True):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            graph, sub = _random_graph_and_subgraph(rng, mixed_case)
+            expanded = expand_one_hop(sub, graph)
+            oracle_entities, oracle_triplets = adjacency_oracle(sub, graph)
+            assert expanded.expanded_entities == oracle_entities
+            assert expanded.triplets == oracle_triplets
+            assert expanded.expanded_entities >= sub.expanded_entities
 
 
 def test_serialize_includes_descriptions_and_visual_location():

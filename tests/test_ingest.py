@@ -236,15 +236,6 @@ def test_graph_persist_roundtrip_and_idempotence(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
-def test_graph_neighbors():
-    graph = KnowledgeGraph()
-    graph.add_triplet("A", "r1", "B")
-    graph.add_triplet("B", "r2", "C")
-    assert graph.neighbors("B") == {"A", "C"}
-    assert graph.neighbors("C") == {"B"}
-    assert graph.neighbors("missing") == set()
-
-
 def test_load_corpus_reads_jsonl(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text(

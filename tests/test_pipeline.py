@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import logging
 import threading
 import time
 
@@ -84,6 +85,36 @@ def test_traces_are_deterministic_across_runs(small_world):
     # and stable through JSON round-trips
     assert json.loads(json.dumps(first, sort_keys=True)) == json.loads(
         json.dumps(second, sort_keys=True))
+
+
+def _keys_anywhere(value, key):
+    if isinstance(value, dict):
+        return key in value or any(_keys_anywhere(v, key) for v in value.values())
+    if isinstance(value, (list, tuple)):
+        return any(_keys_anywhere(v, key) for v in value)
+    return False
+
+
+def test_trace_json_shape(small_world):
+    trace = small_world.make_pipeline().run_query(format_eval_question(small_world.eval_records[0]))
+    data = json.loads(trace.to_json())
+    assert set(data) == {"question", "plan", "entries", "final_answer", "warnings", "calls",
+                         "timings"}
+    assert set(data["plan"]) == {"original", "sub_queries", "multi_intent"}
+    entry = data["entries"][0]
+    assert set(entry) == {"sub_query", "contextual_query", "candidates", "report", "answer",
+                          "warnings", "timings"}
+    assert {frozenset(c) for c in entry["candidates"]} == {
+        frozenset({"text", "source", "evidence", "summary", "available"})}
+    assert set(entry["report"]) == {"pair_scores", "mean_fused", "threshold", "consensus",
+                                    "route"}
+    assert {frozenset(c) for c in data["calls"]} == {frozenset({"kind", "role", "detail"})}
+
+    normalized = trace.normalized()
+    assert not _keys_anywhere(normalized, "timings")
+    keys = [(c["kind"], c["role"], c["detail"]) for c in normalized["calls"]]
+    assert keys == sorted(keys)
+    assert len(keys) == len(data["calls"])
 
 
 def test_trace_records_every_backend_call(small_world):
@@ -185,7 +216,7 @@ def _vector_and_web_pipeline(world, make_client, **cfg):
     return pipeline, question, vector_text
 
 
-def test_agent_timeout_yields_unavailable_candidate(small_world):
+def test_agent_timeout_yields_unavailable_candidate(small_world, caplog):
     class SlowClient:
         def search(self, query, cfg):
             time.sleep(0.5)
@@ -194,11 +225,13 @@ def test_agent_timeout_yields_unavailable_candidate(small_world):
     pipeline, question, vector_text = _vector_and_web_pipeline(
         small_world, lambda question: SlowClient(), agent_timeout_s=0.05)
     started = time.monotonic()
-    trace = pipeline.run_query(question)
+    with caplog.at_level(logging.WARNING, logger="hmrag.errors"):
+        trace = pipeline.run_query(question)
     elapsed = time.monotonic() - started
     web_candidate = next(c for c in trace.entries[0].candidates if c.source == "web")
     assert web_candidate.available is False
     assert any("timed out" in w for w in trace.entries[0].warnings)
+    assert any("web agent timed out" in r.getMessage() for r in caplog.records)
     assert trace.final_answer == vector_text
     assert elapsed < 0.45  # the stuck agent must not stall the query
 
@@ -336,35 +369,97 @@ def test_all_agents_unavailable_fails_with_diagnostic_trace():
     assert trace.entries[0].candidates[0].available is False
 
 
+class FailingPrompt:
+    """Chat double that fails one prompt as an unreachable server does and
+    serves the rest."""
+
+    def __init__(self, inner, prompt):
+        self.inner = inner
+        self.prompt = prompt
+
+    def complete(self, turns, params):
+        if turns[-1].content == self.prompt:
+            raise BackendUnavailableError("down")
+        return self.inner.complete(turns, params)
+
+
 def test_summary_failures_reach_the_error_trace(small_world):
-    class SummaryDown:
-        """Lightweight-chat double that fails summary prompts and serves the rest."""
-
-        def __init__(self, inner, summary_prompt):
-            self.inner = inner
-            self.summary_prompt = summary_prompt
-
-        def complete(self, turns, params):
-            if turns[-1].content == self.summary_prompt:
-                raise BackendUnavailableError("summarizer down")
-            return self.inner.complete(turns, params)
-
     record = small_world.eval_records[0]
     pipeline = small_world.make_pipeline()
     backends = pipeline._gateway._chat_backends
     summary_prompt = small_world.templates.render(
         "summarize", text=small_world.answer_texts[record.id], budget=SUMMARY_BUDGET)
-    backends["lightweight_chat"] = SummaryDown(backends["chat"], summary_prompt)
+    backends["lightweight_chat"] = FailingPrompt(backends["chat"], summary_prompt)
     with pytest.raises(PipelineError) as exc_info:
         pipeline.run_query(format_eval_question(record))
     trace = exc_info.value.trace
     entry = trace.entries[0]
     assert [(c.source, c.available) for c in entry.candidates] == [
         ("vector", False), ("graph", False), ("web", False)]
-    assert entry.warnings == [f"{source} summary failed: summarizer down"
+    assert entry.warnings == [f"{source} summary failed: down"
                               for source in ("vector", "graph", "web")]
     # the calls made before the failure still reach the trace
     assert sum(c.role == "lightweight_chat" for c in trace.calls) == 4
+
+
+def _stage_prompt(world, record, stage):
+    """A world question's intent-judgment prompt, or its decision-refine
+    prompt on the lightweight route over all three candidates."""
+    question = format_eval_question(record)
+    if stage == "judge":
+        return world.templates.render("judge_intent", question=question)
+    answers = format_answers([AnswerCandidate(text=world.answer_texts[record.id], source=s)
+                              for s in ("vector", "graph", "web")])
+    return world.templates.render("refine_lightweight", question=question, answers=answers)
+
+
+def _failing_pipeline(world, prompt):
+    pipeline = world.make_pipeline()
+    backends = pipeline._gateway._chat_backends
+    for role in ("chat", "lightweight_chat"):
+        backends[role] = FailingPrompt(backends[role], prompt)
+    return pipeline
+
+
+@pytest.mark.parametrize("stage", ["judge", "refine"])
+def test_backend_failure_outside_agents_is_pipeline_error(small_world, stage):
+    record = small_world.eval_records[0]
+    prompt = _stage_prompt(small_world, record, stage)
+    pipeline = _failing_pipeline(small_world, prompt)
+    with pytest.raises(PipelineError) as exc_info:
+        pipeline.run_query(format_eval_question(record))
+    assert isinstance(exc_info.value.__cause__, BackendUnavailableError)
+    trace = exc_info.value.trace
+    assert trace is not None
+    # the failed call is the last one the trace records
+    assert trace.calls[-1].kind == "chat"
+    assert trace.calls[-1].detail == prompt[:120]
+    if stage == "judge":
+        assert len(trace.calls) == 1
+        assert trace.plan is None
+    else:
+        assert trace.plan is not None
+        assert len(trace.entries) == 1
+    assert trace.final_answer == ""
+
+
+@pytest.mark.parametrize("stage", ["judge", "refine"])
+def test_run_eval_counts_backend_failure_and_goes_on(tmp_path, small_world, stage):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text("".join(json.dumps({
+        "id": r.id, "question": r.question, "choices": list(r.choices),
+        "answer": r.answer, "tags": list(r.tags)}) + "\n" for r in small_world.eval_records),
+        encoding="utf-8")
+    failing = small_world.eval_records[1]
+    pipeline = _failing_pipeline(small_world, _stage_prompt(small_world, failing, stage))
+    report = run_eval(pipeline, dataset)
+    assert [row["id"] for row in report["questions"]] == [r.id for r in small_world.eval_records]
+    assert report["total"] == 4
+    assert report["errors"] == 1
+    assert report["correct"] == 3
+    rows = {row["id"]: row for row in report["questions"]}
+    assert rows[failing.id]["error"] == "backend call failed: down"
+    assert rows[failing.id]["predicted"] is None
 
 
 @pytest.mark.parametrize("field, value", [
