@@ -143,7 +143,6 @@ def build_pipeline_config(cfg: dict, disabled_agents=(), decision_enabled=None) 
         search=SearchConfig(
             num_results=int(cfg["web.num_results"]),
             language=str(cfg["web.language"]),
-            type_=str(cfg["web.type"]),
         ),
     )
 

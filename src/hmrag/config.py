@@ -36,7 +36,6 @@ DEFAULTS: dict[str, object] = {
     "web.api_key_env": "SERPER_API_KEY",
     "web.num_results": 5,
     "web.language": "en",
-    "web.type": "web",
     "web.stub_fixture_path": "",
     "web.timeout_s": 30.0,
     "web.retries": 2,

@@ -19,6 +19,7 @@ Metric conventions, fixed for reproducibility:
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import re
@@ -254,28 +255,18 @@ class DecisionAgent:
         if not available:
             raise PipelineError("all candidates became unavailable during summarization")
 
-        if len(available) == 1:
-            # Nothing to compare: a lone answer is trivially consistent.
-            report = ConsensusReport(
-                pair_scores={}, mean_fused=1.0, threshold=self.consensus_threshold,
-                consensus=True, route=ROUTE_LIGHTWEIGHT,
-            )
-            final = self._refine(query, available, ROUTE_LIGHTWEIGHT)
-            return final, report, worked
-
         pair_scores: dict[str, dict[str, float]] = {}
         fused_values = []
-        for i in range(len(available)):
-            for j in range(i + 1, len(available)):
-                a, b = available[i], available[j]
-                rouge, sym_bleu, fused = pair_metrics(a.summary, b.summary, self.fusion_lambda,
-                                                      self.bleu_max_n)
-                pair_scores[_pair_key(a.source, b.source)] = {
-                    "rouge_l": rouge, "bleu": sym_bleu, "fused": fused,
-                }
-                fused_values.append(fused)
+        for a, b in itertools.combinations(available, 2):
+            rouge, sym_bleu, fused = pair_metrics(a.summary, b.summary, self.fusion_lambda,
+                                                  self.bleu_max_n)
+            pair_scores[_pair_key(a.source, b.source)] = {
+                "rouge_l": rouge, "bleu": sym_bleu, "fused": fused,
+            }
+            fused_values.append(fused)
 
-        mean_fused = mean(fused_values)
+        # a lone answer has no pair, so nothing to disagree with: fully consistent
+        mean_fused = mean(fused_values) if fused_values else 1.0
         consensus = mean_fused >= self.consensus_threshold
         route = ROUTE_LIGHTWEIGHT if consensus else ROUTE_EXPERT
         report = ConsensusReport(

@@ -205,11 +205,6 @@ class KnowledgeGraph:
             return
         self._triplets[key] = (head_entity.name, relation, tail_entity.name)
 
-    def validate(self) -> None:
-        for head, _, tail in self._triplets.values():
-            if head.casefold() not in self._entities or tail.casefold() not in self._entities:
-                raise ValueError(f"triplet endpoint missing from entity set: {head!r}/{tail!r}")
-
     def save(self, path) -> None:
         lines = []
         for entity in self.entities:
@@ -239,7 +234,6 @@ class KnowledgeGraph:
                 graph.add_triplet(rec["head"], rec["relation"], rec["tail"])
             else:
                 raise ValueError(f"unknown graph record kind {rec['kind']!r}")
-        graph.validate()
         return graph
 
 
@@ -344,5 +338,4 @@ def extract_graph(docs: list[FusedDocument], gateway, templates: TemplateSet,
             graph.add_entity(name, description, visual_location=doc.image_ref)
         for head, relation, tail in triplets:
             graph.add_triplet(head, relation, tail)
-    graph.validate()
     return graph

@@ -212,28 +212,24 @@ class Pipeline:
                     entry = SubQueryTrace(sub_query=sub_query, contextual_query=contextual)
                     trace.entries.append(entry)
                     fan_started = time.perf_counter()
-                    candidates = self._fan_out(contextual, entry)
+                    # set before deciding, so every later exit keeps the agents' answers
+                    entry.candidates = candidates = self._fan_out(contextual, entry)
                     entry.timings["fanout_s"] = time.perf_counter() - fan_started
 
                     decide_started = time.perf_counter()
                     if self.cfg.decision_enabled:
                         try:
-                            answer, report, candidates = self._decision.decide(
+                            answer, entry.report, entry.candidates = self._decision.decide(
                                 contextual, candidates, entry.warnings)
-                        except PipelineError as exc:
+                        except PipelineError:
                             # decide fails only once no candidate is usable, summaries included
                             entry.candidates = [replace(c, available=False) for c in candidates]
-                            raise PipelineError(str(exc), trace=trace) from exc
-                        entry.report = report
+                            raise
                     else:
                         chosen = self._fallback_answer(candidates)
                         if chosen is None:
-                            entry.candidates = candidates
-                            raise PipelineError(
-                                "no available answer candidates to decide over", trace=trace
-                            )
+                            raise PipelineError("no available answer candidates to decide over")
                         answer = chosen.text
-                    entry.candidates = candidates
                     entry.answer = answer
                     entry.timings["decision_s"] = time.perf_counter() - decide_started
                     prior.append((sub_query, answer))
@@ -247,6 +243,9 @@ class Pipeline:
                     )
                 trace.final_answer = final
                 return trace
+            except PipelineError as exc:
+                exc.trace = trace
+                raise
             except GatewayError as exc:
                 # the agents degrade on their own; a failed decompose, refine or
                 # final-refine call ends the query, with the trace so far

@@ -29,7 +29,6 @@ _EMPTY_RESULTS = "(no web evidence retrieved)"
 class SearchConfig:
     num_results: int = 5
     language: str = "en"
-    type_: str = "web"
 
     def __post_init__(self):
         if self.num_results < 1:
@@ -89,8 +88,6 @@ class SerperSearchClient:
             raise ValueError("query must be non-empty")
         headers = json_headers(self.config.api_key_env, "X-API-KEY")
         payload = {"q": query, "num": cfg.num_results, "hl": cfg.language}
-        if cfg.type_ != "web":
-            payload["type"] = cfg.type_
         response = post_with_retries(self.config, payload, headers)
         try:
             data = response.json()

@@ -224,12 +224,48 @@ def test_decide_single_pair_when_one_agent_unavailable():
 
 
 def test_decide_single_candidate_routes_lightweight_without_summaries():
-    chat = ConstantChatBackend("only answer refined")
-    agent = make_agent(chat=chat)
-    final, report, _ = agent.decide("q?", [candidate("web", "only answer")])
-    assert report.route == "lightweight"
-    assert report.pair_scores == {}
-    assert final == "only answer refined"
+    # a lone answer is a vote with no pairs: fully consistent at any threshold
+    for threshold in (0.5, 1.0):
+        chat = ConstantChatBackend("only answer refined")
+        expert = ConstantChatBackend("expert answer")
+        agent = make_agent(chat=chat, expert=expert, threshold=threshold)
+        final, report, _ = agent.decide("q?", [candidate("web", "only answer")])
+        assert report.route == "lightweight"
+        assert report.pair_scores == {}
+        assert report.mean_fused == 1.0
+        assert final == "only answer refined"
+        assert (chat.calls, expert.calls) == (1, 0)
+
+
+def test_decide_lone_survivor_of_failed_summaries_is_refined_alone():
+    texts = {"vector": "vector text", "graph": "graph text", "web": "web text"}
+    failing = {TEMPLATES.render("summarize", text=texts[s], budget=64) for s in ("vector", "graph")}
+    refine_prompt = TEMPLATES.render(
+        "refine_lightweight", question="q?",
+        answers=format_answers([candidate("web", texts["web"])]))
+
+    class SummariesDown:
+        def complete(self, turns, params):
+            if turns[-1].content in failing:
+                raise BackendUnavailableError("down")
+            return "refined" if turns[-1].content == refine_prompt else "web summary"
+
+    for threshold in (0.5, 1.0):
+        chat = SummariesDown()
+        expert = ConstantChatBackend("expert answer")
+        agent = make_agent(chat=chat, expert=expert, threshold=threshold)
+        warnings = []
+        final, report, worked = agent.decide(
+            "q?", [candidate(s, text) for s, text in texts.items()], warnings)
+        # only the refine prompt over the web answer alone yields "refined"
+        assert final == "refined"
+        assert report.pair_scores == {}
+        assert report.mean_fused == 1.0
+        assert report.route == "lightweight"
+        assert expert.calls == 0
+        assert warnings == ["vector summary failed: down", "graph summary failed: down"]
+        assert [(c.source, c.available, c.summary) for c in worked] == [
+            ("vector", False, None), ("graph", False, None), ("web", True, "web summary")]
 
 
 def test_decide_zero_available_is_pipeline_error():

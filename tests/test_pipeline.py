@@ -440,6 +440,11 @@ def test_backend_failure_outside_agents_is_pipeline_error(small_world, stage):
     else:
         assert trace.plan is not None
         assert len(trace.entries) == 1
+        # a failed refine keeps the agents' answers, though not their summaries
+        text = small_world.answer_texts[record.id]
+        assert [(c.source, c.available, c.text) for c in trace.entries[0].candidates] == [
+            (source, True, text) for source in ("vector", "graph", "web")]
+        assert trace.entries[0].report is None
     assert trace.final_answer == ""
 
 
