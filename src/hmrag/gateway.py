@@ -26,7 +26,6 @@ import requests
 from .errors import (
     BackendUnavailableError,
     ConfigError,
-    EmbeddingError,
     GatewayError,
     ScriptMismatchError,
 )
@@ -354,8 +353,8 @@ class ModelGateway:
     """Routes chat/embedding/caption calls to role-configured backends.
 
     Roles `lightweight_chat` and `expert_chat` fall back to the main chat
-    backend when not configured separately. Safe for concurrent use: all
-    backends are immutable after construction.
+    backend when not configured separately. Keeps no state between calls, so
+    it is safe for concurrent use; each store checks the vectors it scores.
     """
 
     def __init__(self, chat, embedding=None, caption=None,
@@ -370,8 +369,6 @@ class ModelGateway:
         self._embedding = embedding
         self._caption = caption
         self._call_log = call_log
-        self._dim_lock = threading.Lock()
-        self._dim: int | None = None
 
     def record_call(self, kind: str, role: str, detail: str) -> None:
         """Record a backend call, when this gateway has a call log."""
@@ -393,15 +390,7 @@ class ModelGateway:
         if self._embedding is None:
             raise ConfigError("no embedding backend configured")
         self.record_call("embedding", "embedding", text)
-        vector = np.asarray(self._embedding.embed(text), dtype=np.float64)
-        with self._dim_lock:
-            if self._dim is None:
-                self._dim = vector.shape[0]
-            elif vector.shape[0] != self._dim:
-                raise EmbeddingError(
-                    f"embedding dimension drifted: got {vector.shape[0]}, expected {self._dim}"
-                )
-        return vector
+        return np.asarray(self._embedding.embed(text), dtype=np.float64)
 
     def caption_image(self, image_ref: str) -> str:
         if not image_ref:

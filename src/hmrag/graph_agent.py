@@ -17,7 +17,7 @@ import numpy as np
 from .decision import AnswerCandidate, run_agent
 from .errors import trace_warning
 from .gateway import ChatTurn, DecodingParams
-from .ingest import KnowledgeGraph
+from .ingest import KnowledgeGraph, check_embedding
 from .kernels import cosine_scores
 from .templates import TemplateSet
 
@@ -68,13 +68,15 @@ class Subgraph:
 
 
 def _max_relevance(texts: list[str], keyword_vectors: list[np.ndarray], embed) -> np.ndarray:
-    """Per-text maximum cosine against any keyword vector."""
+    """Per-text maximum cosine against any keyword vector. The graph holds no
+    vectors, so one call's vectors need only match the first keyword vector."""
     if not texts or not keyword_vectors:
         return np.zeros(len(texts), dtype=np.float64)
-    matrix = np.vstack([embed(text) for text in texts])
+    dim = np.size(keyword_vectors[0])
+    matrix = np.vstack([check_embedding(embed(text), dim) for text in texts])
     best = np.full(len(texts), -np.inf, dtype=np.float64)
     for vector in keyword_vectors:
-        best = np.maximum(best, cosine_scores(vector, matrix))
+        best = np.maximum(best, cosine_scores(check_embedding(vector, dim), matrix))
     return best
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import trace_warning
+from .errors import EmbeddingError, trace_warning
 from .gateway import ChatTurn, DecodingParams
 from .templates import TemplateSet
 
@@ -67,6 +67,14 @@ class Chunk:
 
 
 IndexRecord = namedtuple("IndexRecord", ["chunk_id", "vector", "text"])
+
+
+def check_embedding(vector, dim: int) -> np.ndarray:
+    """`vector` as float64; EmbeddingError unless its shape is `(dim,)`."""
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.shape != (dim,):
+        raise EmbeddingError(f"embedding has shape {vector.shape}, expected ({dim},)")
+    return vector
 
 
 class EmbeddingIndex:
@@ -298,8 +306,9 @@ def build_index(chunks: list[Chunk], gateway) -> EmbeddingIndex:
     ids = [c.chunk_id for c in chunks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate chunk_id in chunk list")
-    # the gateway raises EmbeddingError if the backend's vector length drifts
-    matrix = np.vstack([gateway.embed_text(chunk.text) for chunk in chunks])
+    vectors = [gateway.embed_text(chunk.text) for chunk in chunks]
+    # the first row's length is the index dimension every row must have
+    matrix = np.vstack([check_embedding(v, np.size(vectors[0])) for v in vectors])
     return EmbeddingIndex(matrix.shape[1], ids, [c.text for c in chunks], matrix)
 
 

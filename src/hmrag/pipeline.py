@@ -148,12 +148,12 @@ class Pipeline:
         )
         self._agents = {}
         if "vector" in self.cfg.enabled_agents:
-            if index is None:
-                raise PipelineError("vector agent enabled but no index loaded")
+            if index is None or len(index) == 0:
+                raise PipelineError("vector agent enabled but no index loaded, or it is empty")
             self._agents["vector"] = VectorAgent(gateway, index, self.cfg.top_k, self._templates)
         if "graph" in self.cfg.enabled_agents:
-            if graph is None:
-                raise PipelineError("graph agent enabled but no graph loaded")
+            if graph is None or len(graph) == 0:
+                raise PipelineError("graph agent enabled but no graph loaded, or it is empty")
             self._agents["graph"] = GraphAgent(gateway, graph, self.cfg.tau, self._templates)
         if "web" in self.cfg.enabled_agents:
             if web_client is None:

@@ -15,7 +15,7 @@ import numpy as np
 from .decision import AnswerCandidate, run_agent
 from .errors import EmbeddingError
 from .gateway import ChatTurn, DecodingParams
-from .ingest import EmbeddingIndex, IndexRecord
+from .ingest import EmbeddingIndex, IndexRecord, check_embedding
 from .kernels import cosine_scores
 from .templates import TemplateSet
 
@@ -46,9 +46,7 @@ class RetrievalResult:
 
 def _scores(query_vec: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
     """Cosine score of a validated query against every index record, in index order."""
-    query_vec = np.asarray(query_vec, dtype=np.float64)
-    if query_vec.shape != (index.dim,):
-        raise EmbeddingError(f"query vector has shape {query_vec.shape}, index dim is {index.dim}")
+    query_vec = check_embedding(query_vec, index.dim)
     if np.linalg.norm(query_vec) == 0.0:
         raise EmbeddingError("query vector must be non-zero")
     scores = cosine_scores(query_vec, index.matrix)

@@ -111,19 +111,6 @@ def test_hashing_embedding_similar_text_scores_higher(hashing_backend):
     assert float(base @ near) > float(base @ far)
 
 
-def test_embedding_dimension_constant_across_process(hashing_backend):
-    gateway = make_gateway(embedding=hashing_backend)
-    gateway.embed_text("first call fixes the dimension")
-
-    class WrongDim:
-        def embed(self, text):
-            return np.ones(3)
-
-    gateway._embedding = WrongDim()
-    with pytest.raises(ValueError):
-        gateway.embed_text("drifted")
-
-
 def test_scripted_caption_and_miss():
     backend = ScriptedCaptionBackend({"img/soil.png": "a diagram of soil layers"})
     gateway = make_gateway(caption=backend)

@@ -114,16 +114,17 @@ def test_build_index_rejects_duplicate_chunk_ids(hashing_backend):
         build_index(chunks, gateway)
 
 
-def test_build_index_rejects_embedding_length_drift():
+@pytest.mark.parametrize("lengths", [(9, 8, 8), (8, 8, 9)], ids=["odd_first", "odd_later"])
+def test_build_index_rejects_embedding_length_drift(lengths):
     class DriftingEmbedding:
-        """Embedding double whose vectors grow by one after the first call."""
+        """Embedding double whose n-th vector is `lengths[n]` long."""
 
         def __init__(self):
             self.calls = 0
 
         def embed(self, text):
             self.calls += 1
-            return np.ones(8 if self.calls == 1 else 9)
+            return np.ones(lengths[self.calls - 1])
 
     gateway = make_gateway(embedding=DriftingEmbedding())
     chunks = [Chunk(f"c{i}", "d", f"text number {i}", (i, i + 1)) for i in range(3)]

@@ -3,8 +3,13 @@ import json
 import logging
 import threading
 import time
+import zlib
+from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hmrag.gateway as gateway_mod
 from hmrag.decision import format_answers, AnswerCandidate, unavailable_candidate
@@ -17,10 +22,11 @@ from hmrag.gateway import (
     ModelGateway,
     ScriptedChatBackend,
 )
-from hmrag.ingest import Chunk, build_index
+from hmrag.ingest import Chunk, EmbeddingIndex, KnowledgeGraph, build_index
 from hmrag.pipeline import (
     Pipeline,
     PipelineConfig,
+    QueryTrace,
     compose_contextual_query,
     extract_choice,
     format_eval_question,
@@ -32,7 +38,7 @@ from hmrag.templates import TemplateSet
 from hmrag.vector_agent import VectorAgent, build_prompt, top_k_by_vector
 from hmrag.web_agent import SearchConfig, StubSearchClient, WebAgent
 
-from conftest import FakeResponse, user_turns
+from conftest import ConstantChatBackend, FakeResponse, user_turns
 from world import EMBED_DIM, SUMMARY_BUDGET, build_world
 
 TEMPLATES = TemplateSet()
@@ -311,6 +317,91 @@ def test_malformed_http_embedding_degrades_vector_candidate(small_world, monkeyp
     assert candidates["web"].available is True
     assert any(w.startswith("vector retrieval failed") for w in trace.entries[0].warnings)
     assert trace.final_answer == answer_text
+
+
+class OneBadEmbedding:
+    """Hashing embeddings, except a 2-long vector the first time `bad_text`
+    is embedded. Keyed on the text, since fan-out threads embed in any order."""
+
+    def __init__(self, inner, bad_text):
+        self._inner = inner
+        self._bad_text = bad_text
+        self._lock = threading.Lock()
+        self._served = False
+
+    def embed(self, text):
+        with self._lock:
+            bad = text == self._bad_text and not self._served
+            self._served = self._served or bad
+        return np.ones(2) if bad else self._inner.embed(text)
+
+
+@pytest.mark.parametrize("source", ["vector", "graph"])
+def test_wrong_length_embedding_degrades_only_its_own_question(small_world, source):
+    questions = [format_eval_question(r) for r in small_world.eval_records]
+    # the vector agent embeds the question, the graph agent every entity name
+    bad_text = {"vector": questions[0], "graph": small_world.graph.entities[0].name}[source]
+    pipeline = small_world.make_pipeline(decision_enabled=False)
+    pipeline._gateway._embedding = OneBadEmbedding(small_world.embedding_backend(), bad_text)
+
+    first, *later = [pipeline.run_query(q).entries[0] for q in questions]
+    assert first.warnings == [
+        f"{source} retrieval failed: embedding has shape (2,), expected ({EMBED_DIM},)"]
+    assert [c.source for c in first.candidates if not c.available] == [source]
+    for entry in later:
+        assert [(c.source, c.available) for c in entry.candidates] == [
+            ("vector", True), ("graph", True), ("web", True)]
+        assert entry.warnings == []
+
+
+@pytest.mark.parametrize("empty", [True, False], ids=["empty", "missing"])
+@pytest.mark.parametrize("source", ["vector", "graph"])
+def test_empty_or_missing_store_for_an_enabled_agent_is_pipeline_error(small_world, source, empty):
+    field, empty_store = {
+        "vector": ("index", EmbeddingIndex(EMBED_DIM, [], [], np.empty((0, EMBED_DIM)))),
+        "graph": ("graph", KnowledgeGraph()),
+    }[source]
+    with pytest.raises(PipelineError, match=f"{source} agent enabled"):
+        replace(small_world, **{field: empty_store if empty else None}).make_pipeline()
+
+
+_embedding_bodies = st.one_of(
+    st.builds(lambda v: {"data": [{"embedding": v}]}, st.lists(
+        st.integers() | st.floats(allow_nan=False, allow_infinity=False), max_size=EMBED_DIM + 2)),
+    st.just({"data": []}),
+    st.just({}),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bodies=st.lists(st.lists(_embedding_bodies, min_size=1, max_size=3), min_size=1, max_size=3))
+def test_run_query_survives_embedding_payloads_across_queries(small_world, bodies):
+    clean = small_world.embedding_backend()
+    gateway = ModelGateway(chat=ConstantChatBackend(), embedding=HTTPEmbeddingBackend(
+        ModelBackendConfig(endpoint="http://embed.local")))
+    pipeline = Pipeline(gateway, small_world.index, small_world.graph,
+                        cfg=PipelineConfig(enabled_agents=("vector", "graph")))
+    question = format_eval_question(small_world.eval_records[0])
+    query_bodies = None  # None serves clean vectors
+
+    def post(url, json, **kw):
+        text = json["input"][0]
+        if query_bodies is None:
+            return FakeResponse({"data": [{"embedding": clean.embed(text).tolist()}]})
+        # chosen by the text, so thread order cannot change which call gets which body
+        return FakeResponse(query_bodies[zlib.crc32(text.encode("utf-8")) % len(query_bodies)])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gateway_mod.requests, "post", post)
+        for query_bodies in bodies:
+            try:
+                assert isinstance(pipeline.run_query(question), QueryTrace)
+            except PipelineError:
+                pass
+        query_bodies = None
+        trace = pipeline.run_query(question)
+    assert [(c.source, c.available) for c in trace.entries[0].candidates] == [
+        ("vector", True), ("graph", True)]
 
 
 class DownBackend:
