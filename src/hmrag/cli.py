@@ -147,19 +147,13 @@ def build_pipeline_config(cfg: dict, disabled_agents=(), decision_enabled=None) 
     )
 
 
-def _load_stores(store_dir: Path, enabled) -> tuple[EmbeddingIndex | None, KnowledgeGraph | None]:
-    index = graph = None
-    index_path = store_dir / INDEX_FILENAME
-    graph_path = store_dir / GRAPH_FILENAME
-    if index_path.is_file():
-        index = EmbeddingIndex.load(index_path)
-    elif "vector" in enabled:
-        raise ConfigError(f"vector agent enabled but {index_path} is missing")
-    if graph_path.is_file():
-        graph = KnowledgeGraph.load(graph_path)
-    elif "graph" in enabled:
-        raise ConfigError(f"graph agent enabled but {graph_path} is missing")
-    return index, graph
+def _load_store(load, path: Path, agent: str, enabled):
+    """`load(path)` for an enabled agent's store; a disabled agent's file is never read."""
+    if agent not in enabled:
+        return None
+    if not path.is_file():
+        raise ConfigError(f"{agent} agent enabled but {path} is missing")
+    return load(path)
 
 
 def _make_pipeline(args) -> Pipeline:
@@ -170,9 +164,12 @@ def _make_pipeline(args) -> Pipeline:
     call_log = CallLog()
     gateway = build_gateway(cfg, call_log)
     web_client = build_web_client(cfg) if "web" in pipeline_cfg.enabled_agents else None
-    index, graph = _load_stores(Path(args.store), pipeline_cfg.enabled_agents)
+    store, enabled = Path(args.store), pipeline_cfg.enabled_agents
     return Pipeline(
-        gateway, index, graph, web_client,
+        gateway,
+        _load_store(EmbeddingIndex.load, store / INDEX_FILENAME, "vector", enabled),
+        _load_store(KnowledgeGraph.load, store / GRAPH_FILENAME, "graph", enabled),
+        web_client,
         cfg=pipeline_cfg, templates=build_templates(cfg), call_log=call_log,
     )
 

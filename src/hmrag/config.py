@@ -54,6 +54,7 @@ DEFAULTS: dict[str, object] = {
 for _role in ("chat", "lightweight_chat", "expert_chat", "embedding", "caption"):
     for _key, _value in _ROLE_DEFAULTS.items():
         DEFAULTS.setdefault(f"{_role}.{_key}", _value)
+del DEFAULTS["embedding.fixture"]  # the scripted embedding backend hashes text and reads no file
 # Secondary chat roles reuse the main chat backend unless configured.
 DEFAULTS["lightweight_chat.backend"] = "inherit"
 DEFAULTS["expert_chat.backend"] = "inherit"

@@ -30,7 +30,6 @@ from statistics import mean
 import numpy as np
 
 from .errors import GatewayError, PipelineError, trace_warning
-from .gateway import ChatTurn, DecodingParams
 from .kernels import lcs_length
 from .templates import TemplateSet
 
@@ -120,20 +119,16 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidate, reference, max_n: int = 4, weights: list[float] | None = None) -> float:
-    """Weighted n-gram precision of `candidate` against `reference`.
+def bleu(candidate, reference, max_n: int = 4) -> float:
+    """Uniformly weighted n-gram precision of `candidate` against `reference`.
 
-    n runs from 1 to min(max_n, len(candidate)); the weights are applied
-    as configured without renormalization over the used range.
+    n runs from 1 to min(max_n, len(candidate)); each n weighs 1/max_n,
+    without renormalization over the used range.
     """
     candidate, reference = list(candidate), list(reference)
     if max_n < 1:
         raise ValueError("max_n must be >= 1")
-    weights = list(weights) if weights is not None else [1.0 / max_n] * max_n
-    if len(weights) != max_n:
-        raise ValueError(f"need {max_n} weights, got {len(weights)}")
-    if not math.isclose(sum(weights), 1.0, abs_tol=1e-9):
-        raise ValueError("weights must sum to 1")
+    weight = 1.0 / max_n
     if not candidate:
         logger.warning("bleu over an empty candidate scores 0")
         return 0.0
@@ -146,7 +141,7 @@ def bleu(candidate, reference, max_n: int = 4, weights: list[float] | None = Non
         precision = sum(clipped.values()) / sum(counts.values())
         if precision == 0.0:
             return 0.0
-        log_sum += weights[n - 1] * math.log(precision)
+        log_sum += weight * math.log(precision)
     brevity = min(1.0, len(reference) / len(candidate))
     return math.exp(log_sum) * brevity
 
@@ -209,9 +204,7 @@ class DecisionAgent:
         )
         try:
             summary = self._gateway.complete_chat(
-                [ChatTurn("user", prompt)],
-                DecodingParams(max_tokens=self.summary_token_budget),
-                role="lightweight_chat",
+                prompt, role="lightweight_chat", max_tokens=self.summary_token_budget
             )
         except GatewayError as exc:
             trace_warning(warnings, f"{candidate.source} summary failed: {exc}")
@@ -230,7 +223,7 @@ class DecisionAgent:
                 answers=format_answers(candidates, with_evidence=True),
             )
             role = "expert_chat"
-        return self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams(), role=role)
+        return self._gateway.complete_chat(prompt, role=role)
 
     def decide(self, query: str, candidates, warnings: list[str] | None = None
                ) -> tuple[str, ConsensusReport, list[AnswerCandidate]]:

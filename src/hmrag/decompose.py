@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 
 from .errors import ClassificationParseError, trace_warning
-from .gateway import ChatTurn, DecodingParams
 from .templates import TemplateSet
 
 MAX_SUB_QUERIES = 3
@@ -72,7 +71,7 @@ class DecompositionAgent:
         if not question or not question.strip():
             raise ValueError("question must be non-empty")
         prompt = self._templates.render("judge_intent", question=question)
-        response = self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
+        response = self._gateway.complete_chat(prompt)
         lowered = response.casefold()
         if "single" in lowered:
             return False
@@ -95,7 +94,7 @@ class DecompositionAgent:
             return SubQueryPlan(question, (question,), multi_intent=False)
 
         prompt = self._templates.render("decompose", question=question)
-        response = self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
+        response = self._gateway.complete_chat(prompt)
         sub_questions = parse_sub_questions(response)[:MAX_SUB_QUERIES]
         if len(sub_questions) < 2:
             trace_warning(warnings, "decomposition yielded fewer than 2 sub-questions, "

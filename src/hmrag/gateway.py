@@ -133,8 +133,6 @@ class ScriptedChatBackend:
 
     def __init__(self):
         self._responses: dict[str, str] = {}
-        self._lock = threading.Lock()
-        self.hits = 0
 
     def add(self, turns, response: str) -> "ScriptedChatBackend":
         self._responses[canonical_turn_key(turns)] = response
@@ -149,21 +147,15 @@ class ScriptedChatBackend:
             backend.add(turns, entry["response"])
         return backend
 
-    def __len__(self):
-        return len(self._responses)
-
     def complete(self, turns, params: DecodingParams) -> str:
         key = canonical_turn_key(turns)
         try:
-            response = self._responses[key]
+            return self._responses[key]
         except KeyError:
             preview = " / ".join(f"{t.role}: {t.content[:80]}" for t in turns)
             raise ScriptMismatchError(
                 f"no scripted response for turns [{preview}] (hash {key[:12]})"
             ) from None
-        with self._lock:
-            self.hits += 1
-        return response
 
 
 class HashingEmbeddingBackend:
@@ -363,8 +355,8 @@ class ModelGateway:
             raise ConfigError("a chat backend is required")
         self._chat_backends = {
             "chat": chat,
-            "lightweight_chat": lightweight_chat or chat,
-            "expert_chat": expert_chat or chat,
+            "lightweight_chat": chat if lightweight_chat is None else lightweight_chat,
+            "expert_chat": chat if expert_chat is None else expert_chat,
         }
         self._embedding = embedding
         self._caption = caption
@@ -375,14 +367,15 @@ class ModelGateway:
         if self._call_log is not None:
             self._call_log.record(kind, role, detail)
 
-    def complete_chat(self, turns, params: DecodingParams | None = None, role: str = "chat") -> str:
-        if not turns:
-            raise ValueError("turn list must be non-empty")
+    def complete_chat(self, prompt: str, role: str = "chat",
+                      max_tokens: int = DecodingParams.max_tokens) -> str:
+        """Send `prompt` as one user turn under pinned decoding; only the token cap varies."""
         if role not in self._chat_backends:
             raise ConfigError(f"unknown chat role {role!r}")
-        params = params or DecodingParams()
-        self.record_call("chat", role, turns[-1].content)
-        return self._chat_backends[role].complete(list(turns), params)
+        turns = [ChatTurn("user", prompt)]
+        params = DecodingParams(max_tokens=max_tokens)
+        self.record_call("chat", role, prompt)
+        return self._chat_backends[role].complete(turns, params)
 
     def embed_text(self, text: str) -> np.ndarray:
         if not text or not text.strip():

@@ -16,7 +16,6 @@ import numpy as np
 
 from .decision import AnswerCandidate, run_agent
 from .errors import trace_warning
-from .gateway import ChatTurn, DecodingParams
 from .ingest import KnowledgeGraph, check_embedding
 from .kernels import cosine_scores
 from .templates import TemplateSet
@@ -176,7 +175,7 @@ class GraphAgent:
         if not query or not query.strip():
             raise ValueError("query must be non-empty")
         prompt = self._templates.render("keywords", question=query)
-        response = self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
+        response = self._gateway.complete_chat(prompt)
         parsed = _parse_keyword_response(response)
         if parsed is None:
             trace_warning(warnings, "keyword extraction unparseable, falling back to query "
@@ -193,9 +192,7 @@ class GraphAgent:
         lines = serialize_subgraph(sub, self._graph)
         evidence_text = "\n".join(lines) if lines else _EMPTY_EVIDENCE
         prompt = self._templates.render("graph_answer", question=query, evidence=evidence_text)
-        text = self._gateway.complete_chat(
-            [ChatTurn("user", prompt)], DecodingParams(), role="lightweight_chat"
-        )
+        text = self._gateway.complete_chat(prompt, role="lightweight_chat")
         return AnswerCandidate(text=text, source=self.source, evidence=tuple(lines))
 
     def run(self, query: str, warnings: list[str] | None = None) -> AnswerCandidate:

@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmbeddingError, trace_warning
-from .gateway import ChatTurn, DecodingParams
 from .templates import TemplateSet
 
 FUSION_SEPARATOR = "\n\n"
@@ -122,23 +121,20 @@ class EmbeddingIndex:
 
     @classmethod
     def load(cls, path) -> "EmbeddingIndex":
-        raw_lines = Path(path).read_text(encoding="utf-8").splitlines()
-        if not raw_lines:
-            raise ValueError(f"empty index file: {path}")
-        header = json.loads(raw_lines[0])
-        dim, count = int(header["dim"]), int(header["count"])
-        chunk_ids, texts, rows = [], [], []
-        for line in raw_lines[1:]:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            chunk_ids.append(rec["chunk_id"])
-            texts.append(rec["text"])
-            rows.append(rec["vector"])
-        if len(chunk_ids) != count:
-            raise ValueError(f"index header says {count} records, file has {len(chunk_ids)}")
+        def parse(lineno, rec):
+            if lineno == 1:
+                return int(rec["dim"]), int(rec["count"])
+            return rec["chunk_id"], rec["text"], rec["vector"]
+
+        lines = _read_jsonl(path, "index record", parse)
+        if not lines or len(lines[0]) != 2:
+            raise ValueError(f"{path} does not start with an index header")
+        (dim, count), records = lines[0], lines[1:]
+        if len(records) != count:
+            raise ValueError(f"index header says {count} records, file has {len(records)}")
+        chunk_ids, texts, rows = zip(*records) if records else ((), (), ())
         matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
-        return cls(dim, chunk_ids, texts, matrix)
+        return cls(dim, list(chunk_ids), list(texts), matrix)
 
 
 @dataclass
@@ -232,30 +228,35 @@ class KnowledgeGraph:
     @classmethod
     def load(cls, path) -> "KnowledgeGraph":
         graph = cls()
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            rec = json.loads(line)
+
+        def add(lineno, rec):
             if rec["kind"] == "entity":
                 graph.add_entity(rec["name"], rec.get("description", ""), rec.get("visual_location"))
             elif rec["kind"] == "triplet":
                 graph.add_triplet(rec["head"], rec["relation"], rec["tail"])
             else:
                 raise ValueError(f"unknown graph record kind {rec['kind']!r}")
+
+        _read_jsonl(path, "graph record", add)
         return graph
 
 
-def load_corpus(path) -> list[CorpusRecord]:
-    records = []
+def _read_jsonl(path, what: str, parse) -> list:
+    """`parse(lineno, record)` for each non-blank JSON line of `path`, in order. A
+    line that fails to parse is a ValueError naming the file and the line."""
+    parsed = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-            records.append(CorpusRecord(raw["id"], raw.get("text", "") or "", raw.get("image_ref")))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"bad corpus record at line {lineno}: {exc}") from exc
-    return records
+        if line.strip():
+            try:
+                parsed.append(parse(lineno, json.loads(line)))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise ValueError(f"bad {what} at {path} line {lineno}: {exc!r}") from exc
+    return parsed
+
+
+def load_corpus(path) -> list[CorpusRecord]:
+    return _read_jsonl(path, "corpus record", lambda lineno, raw: CorpusRecord(
+        raw["id"], raw.get("text", "") or "", raw.get("image_ref")))
 
 
 def caption_and_refine(record: CorpusRecord, gateway, templates: TemplateSet) -> FusedDocument:
@@ -264,9 +265,7 @@ def caption_and_refine(record: CorpusRecord, gateway, templates: TemplateSet) ->
         return FusedDocument(record.id, record.text, caption=None, image_ref=None)
     raw_caption = gateway.caption_image(record.image_ref)
     prompt = templates.render("refine_caption", caption=raw_caption, text=record.text)
-    refined = gateway.complete_chat(
-        [ChatTurn("user", prompt)], DecodingParams(), role="lightweight_chat"
-    )
+    refined = gateway.complete_chat(prompt, role="lightweight_chat")
     fused = record.text + FUSION_SEPARATOR + refined if record.text else refined
     return FusedDocument(record.id, fused, caption=refined, image_ref=record.image_ref)
 
@@ -337,7 +336,7 @@ def extract_graph(docs: list[FusedDocument], gateway, templates: TemplateSet,
     graph = KnowledgeGraph()
     for doc in docs:
         prompt = templates.render("extract_graph", text=doc.fused_text)
-        response = gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
+        response = gateway.complete_chat(prompt)
         entities, triplets = parse_extraction_response(response)
         if not entities and not triplets:
             trace_warning(warnings,

@@ -11,12 +11,22 @@ from __future__ import annotations
 
 import numpy as np
 
+_SAFE_NORMS = (2.0 ** -500, 2.0 ** 500)  # norms whose squares and pairwise products stay normal
+
+
+def _rescaled(vectors: np.ndarray) -> np.ndarray:
+    """Each vector times the power of two that puts its largest absolute entry in [0.5, 1)."""
+    return np.ldexp(vectors, -np.frexp(np.abs(vectors).max(axis=-1, keepdims=True))[1])
+
 
 def cosine_scores(query, matrix) -> np.ndarray:
     """Cosine similarity of `query` against every row of `matrix`.
 
-    Rows with zero norm score 0.0. A zero-norm query also yields all
-    zeros; callers that consider that an error must check beforehand.
+    Rows with zero norm score 0.0. A zero query also yields all zeros;
+    callers that consider that an error must check beforehand. A vector
+    whose norm leaves `_SAFE_NORMS` is rescaled first, so no norm or dot
+    product overflows or underflows. With every norm in range, the scores
+    are bit-for-bit the unscaled formula's.
     """
     query = np.ascontiguousarray(query, dtype=np.float64)
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
@@ -26,17 +36,24 @@ def cosine_scores(query, matrix) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: query has {query.shape[0]}, matrix rows have {matrix.shape[1]}"
         )
-    query_norm = float(np.linalg.norm(query))
     if matrix.shape[0] == 0:
         return np.empty(0, dtype=np.float64)
-    if query_norm == 0.0:
+    if not query.any():
         return np.zeros(matrix.shape[0], dtype=np.float64)
-    row_norms = np.linalg.norm(matrix, axis=1)
-    dots = matrix @ query
-    safe = np.where(row_norms == 0.0, 1.0, row_norms)
-    scores = dots / (query_norm * safe)
-    scores[row_norms == 0.0] = 0.0
-    return scores
+    low, high = _SAFE_NORMS
+    with np.errstate(over="ignore", invalid="ignore"):  # out-of-range vectors are redone
+        query_norm = float(np.linalg.norm(query))
+        if not low <= query_norm <= high:
+            query = _rescaled(query)
+            query_norm = float(np.linalg.norm(query))
+        row_norms = np.linalg.norm(matrix, axis=1)
+        dots = matrix @ query
+    unsafe = np.flatnonzero(~((row_norms >= low) & (row_norms <= high)))
+    if unsafe.size:
+        rows = _rescaled(matrix[unsafe])
+        row_norms[unsafe] = np.linalg.norm(rows, axis=1)
+        dots[unsafe] = rows @ query
+    return np.divide(dots, query_norm * row_norms, out=np.zeros_like(dots), where=row_norms != 0.0)
 
 
 def lcs_length(a, b) -> int:

@@ -30,7 +30,7 @@ from .decision import (
     unavailable_candidate,
 )
 from .errors import GatewayError, PipelineError, trace_warning
-from .gateway import CallLog, ChatTurn, DecodingParams, ModelGateway
+from .gateway import CallLog, ModelGateway
 from .ingest import EmbeddingIndex, KnowledgeGraph
 from .graph_agent import GraphAgent
 from .templates import TemplateSet
@@ -238,9 +238,7 @@ class Pipeline:
                 if plan.multi_intent:
                     blocks = "\n\n".join(f"Q: {q}\nA: {a}" for q, a in prior)
                     prompt = self._templates.render("final_refine", question=question, answers=blocks)
-                    final = self._gateway.complete_chat(
-                        [ChatTurn("user", prompt)], DecodingParams(), role="lightweight_chat"
-                    )
+                    final = self._gateway.complete_chat(prompt, role="lightweight_chat")
                 trace.final_answer = final
                 return trace
             except PipelineError as exc:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .decision import AnswerCandidate, run_agent
 from .errors import EmbeddingError
-from .gateway import ChatTurn, DecodingParams
 from .ingest import EmbeddingIndex, IndexRecord, check_embedding
 from .kernels import cosine_scores
 from .templates import TemplateSet
@@ -47,10 +46,10 @@ class RetrievalResult:
 def _scores(query_vec: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
     """Cosine score of a validated query against every index record, in index order."""
     query_vec = check_embedding(query_vec, index.dim)
-    if np.linalg.norm(query_vec) == 0.0:
+    if not query_vec.any():
         raise EmbeddingError("query vector must be non-zero")
     scores = cosine_scores(query_vec, index.matrix)
-    zero_rows = int(np.sum(np.linalg.norm(index.matrix, axis=1) == 0.0))
+    zero_rows = int(np.count_nonzero(~index.matrix.any(axis=1)))
     if zero_rows:
         logger.warning("%d zero-norm index records scored 0", zero_rows)
     return scores
@@ -114,7 +113,7 @@ class VectorAgent:
             raise ValueError("retrieval result has no chunks")
         chunk_texts = [s.chunk.text for s in result.top]
         prompt = build_prompt(query, chunk_texts, self._templates.text("vector_header"))
-        text = self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
+        text = self._gateway.complete_chat(prompt)
         return AnswerCandidate(text=text, source=self.source, evidence=tuple(chunk_texts))
 
     def run(self, query: str, warnings: list[str] | None = None) -> AnswerCandidate:

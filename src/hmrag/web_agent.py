@@ -17,7 +17,7 @@ import requests  # unused here, but tests patch it on this module to forbid netw
 
 from .decision import AnswerCandidate, run_agent
 from .errors import ScriptMismatchError, SearchParseError
-from .gateway import ChatTurn, DecodingParams, ModelBackendConfig, json_headers, post_with_retries
+from .gateway import ModelBackendConfig, json_headers, post_with_retries
 from .templates import TemplateSet
 
 DEFAULT_SEARCH_ENDPOINT = "https://google.serper.dev/search"
@@ -143,7 +143,7 @@ class WebAgent:
         lines = format_results(results)
         results_text = "\n".join(lines) if lines else _EMPTY_RESULTS
         prompt = self._templates.render("web_answer", question=query, results=results_text)
-        text = self._gateway.complete_chat([ChatTurn("user", prompt)], DecodingParams())
+        text = self._gateway.complete_chat(prompt)
         return AnswerCandidate(text=text, source=self.source, evidence=tuple(r.url for r in results))
 
     def run(self, query: str, warnings: list[str] | None = None) -> AnswerCandidate:

@@ -41,6 +41,20 @@ class ConstantChatBackend:
         return self.text
 
 
+class CountingChatBackend:
+    """Wraps a chat backend and counts the requests that reach it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, turns, params):
+        with self._lock:
+            self.calls += 1
+        return self.inner.complete(turns, params)
+
+
 class EchoChatBackend:
     """Echoes the last user turn, useful when the prompt itself is the assertion."""
 

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -123,3 +124,35 @@ def test_missing_store_is_reported(world_dir, tmp_path, capsys):
     ], capsys)
     assert code == 1
     assert "error:" in err
+
+
+def test_disabled_agent_store_is_never_read(world_dir, store_dir, tmp_path, capsys):
+    store = tmp_path / "copy"
+    shutil.copytree(store_dir, store)
+    (store / "index.jsonl").write_text("not json\n", encoding="utf-8")
+    record = world_dir.eval_records[0]
+    code, out, err = run_cli([
+        "query", "--store", str(store), "--config", str(world_dir.paths["config"]),
+        "--disable-agent", "vector", "--no-decision", format_eval_question(record),
+    ], capsys)
+    assert code == 0, err
+    sources = [c["source"] for c in json.loads(out)["entries"][0]["candidates"]]
+    assert sources == ["graph", "web"]
+
+
+@pytest.mark.parametrize("filename, what, bad_line", [
+    ("graph.jsonl", "graph record", {"kind": "entity"}),
+    ("index.jsonl", "index record", {"chunk_id": "extra", "text": "no vector"}),
+])
+def test_malformed_store_line_is_reported_with_file_and_line(
+        world_dir, store_dir, tmp_path, capsys, filename, what, bad_line):
+    store = tmp_path / "copy"
+    shutil.copytree(store_dir, store)
+    path = store / filename
+    lines = path.read_text(encoding="utf-8").splitlines() + [json.dumps(bad_line)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run_cli([
+        "query", "--store", str(store), "--config", str(world_dir.paths["config"]), "anything?",
+    ], capsys)
+    assert code == 1
+    assert f"error: bad {what} at {path} line {len(lines)}: KeyError" in err

@@ -5,7 +5,7 @@ from hmrag.errors import ClassificationParseError
 from hmrag.gateway import ScriptedChatBackend
 from hmrag.templates import TemplateSet
 
-from conftest import make_gateway, user_turns
+from conftest import CountingChatBackend, make_gateway, user_turns
 
 
 TEMPLATES = TemplateSet()
@@ -23,7 +23,8 @@ def make_agent(*entries):
     backend = ScriptedChatBackend()
     for turns, response in entries:
         backend.add(turns, response)
-    return DecompositionAgent(make_gateway(chat=backend), TEMPLATES), backend
+    counting = CountingChatBackend(backend)
+    return DecompositionAgent(make_gateway(chat=counting), TEMPLATES), counting
 
 
 def test_judge_maps_multi_token():
@@ -58,7 +59,7 @@ def test_decompose_single_intent_passthrough_never_calls_decomposer():
     agent, backend = make_agent((judge_turns(question), "single-intent"))
     plan = agent.decompose(question)
     assert plan == SubQueryPlan(question, (question,), multi_intent=False)
-    assert backend.hits == 1  # only the judgment call; a decompose call would miss
+    assert backend.calls == 1  # only the judgment call; a decompose call would miss
 
 
 def test_decompose_parses_numbered_response():

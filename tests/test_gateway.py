@@ -27,7 +27,7 @@ from hmrag.gateway import (
 )
 from hmrag.web_agent import SearchConfig, SearchResult, SerperSearchClient
 
-from conftest import FakeResponse, make_gateway, user_turns
+from conftest import CountingChatBackend, FakeResponse, make_gateway, user_turns
 
 
 def test_decoding_params_defaults_are_deterministic():
@@ -59,25 +59,25 @@ def test_backend_config_validates_timeout():
 
 
 def test_scripted_chat_returns_mapped_response():
-    turns = user_turns("what is granite?")
-    backend = ScriptedChatBackend().add(turns, "Answer: B")
+    backend = CountingChatBackend(ScriptedChatBackend().add(user_turns("what is granite?"), "Answer: B"))
     gateway = make_gateway(chat=backend)
-    assert gateway.complete_chat(turns) == "Answer: B"
-    assert gateway.complete_chat(turns) == "Answer: B"  # determinism
-    assert backend.hits == 2
+    assert gateway.complete_chat("what is granite?") == "Answer: B"
+    assert gateway.complete_chat("what is granite?") == "Answer: B"  # determinism
+    assert backend.calls == 2
 
 
 def test_scripted_chat_miss_is_hard_error():
     backend = ScriptedChatBackend().add(user_turns("a"), "x")
     gateway = make_gateway(chat=backend)
     with pytest.raises(ScriptMismatchError):
-        gateway.complete_chat(user_turns("b"))
+        gateway.complete_chat("b")
 
 
-def test_empty_turn_list_rejected():
+def test_empty_prompt_rejected():
     gateway = make_gateway()
-    with pytest.raises(ValueError):
-        gateway.complete_chat([])
+    for prompt in ("", "  \n"):
+        with pytest.raises(ValueError):
+            gateway.complete_chat(prompt)
 
 
 def test_hashing_embedding_is_deterministic(hashing_backend):
@@ -310,13 +310,13 @@ def test_call_log_records_roles(hashing_backend):
     log = CallLog()
     gateway = make_gateway(embedding=hashing_backend, call_log=log)
     with log.collect() as records:
-        gateway.complete_chat(user_turns("hi"))
-        gateway.complete_chat(user_turns("hi"), role="expert_chat")
+        gateway.complete_chat("hi")
+        gateway.complete_chat("hi", role="expert_chat")
         gateway.embed_text("hello")
     assert [(r.kind, r.role) for r in records] == [
         ("chat", "chat"), ("chat", "expert_chat"), ("embedding", "embedding"),
     ]
-    gateway.complete_chat(user_turns("outside"))  # no list is open: dropped
+    gateway.complete_chat("outside")  # no list is open: dropped
     with log.collect() as fresh:
         pass
     assert fresh == []
@@ -363,7 +363,7 @@ def test_gateway_without_call_log_records_nothing(hashing_backend):
     log = CallLog()
     gateway = make_gateway(embedding=hashing_backend)
     with log.collect() as records:
-        gateway.complete_chat(user_turns("hi"))
+        gateway.complete_chat("hi")
         gateway.embed_text("hello")
     assert records == []
 
@@ -374,7 +374,7 @@ def test_scripted_chat_from_file(tmp_path):
     path.write_text(json.dumps(entries), encoding="utf-8")
     backend = ScriptedChatBackend.from_file(path)
     gateway = make_gateway(chat=backend)
-    assert gateway.complete_chat(user_turns("ping")) == "pong"
+    assert gateway.complete_chat("ping") == "pong"
 
 
 _json_values = st.recursive(

@@ -37,12 +37,13 @@ def test_lcs_empty_inputs():
 
 
 def test_cosine_matches_manual_fixture():
-    q = np.array([1.0, 0.0])
-    m = np.array([[1.0, 0.0], [0.0, 1.0], [0.7071, 0.7071]])
-    scores = kernels.cosine_scores(q, m)
-    assert scores[0] == pytest.approx(1.0, abs=1e-9)
-    assert scores[1] == pytest.approx(0.0, abs=1e-9)
-    assert scores[2] == pytest.approx(np.sqrt(0.5), abs=1e-9)
+    for scale in (1.0, 1e200, 1e-200):  # no norm or dot product may overflow or underflow
+        q = np.array([1.0, 0.0]) * scale
+        m = np.array([[1.0, 0.0], [0.0, 1.0], [0.7071, 0.7071]]) * scale
+        scores = kernels.cosine_scores(q, m)
+        assert scores[0] == pytest.approx(1.0, abs=1e-9)
+        assert scores[1] == pytest.approx(0.0, abs=1e-9)
+        assert scores[2] == pytest.approx(np.sqrt(0.5), abs=1e-9)
 
 
 def test_cosine_zero_rows_score_zero():

@@ -38,7 +38,7 @@ from hmrag.templates import TemplateSet
 from hmrag.vector_agent import VectorAgent, build_prompt, top_k_by_vector
 from hmrag.web_agent import SearchConfig, StubSearchClient, WebAgent
 
-from conftest import ConstantChatBackend, FakeResponse, user_turns
+from conftest import ConstantChatBackend, CountingChatBackend, FakeResponse, user_turns
 from world import EMBED_DIM, SUMMARY_BUDGET, build_world
 
 TEMPLATES = TemplateSet()
@@ -126,12 +126,13 @@ def test_trace_json_shape(small_world):
 def test_trace_records_every_backend_call(small_world):
     log = CallLog()
     pipeline = small_world.make_pipeline(call_log=log)
-    chat_backend = pipeline._gateway._chat_backends["chat"]
+    chat_backend = CountingChatBackend(pipeline._gateway._chat_backends["chat"])
+    pipeline._gateway._chat_backends = dict.fromkeys(pipeline._gateway._chat_backends, chat_backend)
     trace = pipeline.run_query(format_eval_question(small_world.eval_records[0]))
     kinds = {"chat": 0, "embedding": 0, "caption": 0, "search": 0}
     for record in trace.calls:
         kinds[record.kind] += 1
-    assert kinds["chat"] == chat_backend.hits
+    assert kinds["chat"] == chat_backend.calls
     assert kinds["search"] == 1
     # one embed for the vector query plus one per entity/relation/keyword scan
     assert kinds["embedding"] > 1
@@ -624,13 +625,15 @@ def test_eval_question_includes_context_fields():
 
 
 class RecordingChatBackend:
-    """Captures (params, role is implied by gateway) for contract checks."""
+    """Captures each request's turns and params (role is implied by gateway) for contract checks."""
 
     def __init__(self, text="ok"):
         self.text = text
+        self.turns_seen = []
         self.params_seen = []
 
     def complete(self, turns, params):
+        self.turns_seen.append(turns)
         self.params_seen.append(params)
         return self.text
 
@@ -647,6 +650,7 @@ def test_agent_answer_calls_use_deterministic_decoding(small_world):
     pipeline.run_query("Any question at all?")
     assert backend.params_seen, "no chat calls captured"
     assert all(p.temperature == 0.0 and p.top_p == 1.0 for p in backend.params_seen)
+    assert all(len(turns) == 1 and turns[0].role == "user" for turns in backend.turns_seen)
 
 
 def test_graph_answer_uses_lightweight_role(small_world):

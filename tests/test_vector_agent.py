@@ -94,7 +94,7 @@ def test_top_k_rejects_empty_index_and_bad_k():
         top_k_by_vector("q", np.array([1.0, 0.0]), empty, k=1)
 
 
-@given(st.floats(min_value=1e-3, max_value=1e3))
+@given(st.floats(min_value=1e-200, max_value=1e200))
 @settings(max_examples=50, deadline=None)
 def test_ranking_invariant_under_positive_query_rescaling(scale):
     rng = np.random.default_rng(11)
@@ -103,6 +103,7 @@ def test_ranking_invariant_under_positive_query_rescaling(scale):
     base = top_k_by_vector("q", query, index, k=5)
     scaled = top_k_by_vector("q", query * scale, index, k=5)
     assert [s.chunk.chunk_id for s in base.top] == [s.chunk.chunk_id for s in scaled.top]
+    assert [s.score for s in scaled.top] == pytest.approx([s.score for s in base.top])
 
 
 def parse_prompt(prompt):
