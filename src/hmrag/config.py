@@ -3,8 +3,8 @@
 A config file holds ``key = value`` lines; ``#`` starts a full-line
 comment. The file path comes from ``--config`` or the ``HMRAG_CONFIG``
 environment variable. Values for known keys are coerced to the type of
-the default; unknown keys are kept as parsed literals so backends can
-grow settings without breaking old files.
+the default; unknown keys, such as ``prompts.file.<name>`` paths, are
+kept verbatim as strings, so old files with retired keys still load.
 """
 
 from __future__ import annotations
@@ -60,20 +60,6 @@ DEFAULTS["lightweight_chat.backend"] = "inherit"
 DEFAULTS["expert_chat.backend"] = "inherit"
 
 
-def _parse_literal(raw: str):
-    lowered = raw.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
-
-
 def _coerce(key: str, raw: str):
     default = DEFAULTS.get(key)
     if isinstance(default, bool):
@@ -90,9 +76,7 @@ def _coerce(key: str, raw: str):
             return float(raw)
         except ValueError as exc:
             raise ConfigError(f"{key} expects a number, got {raw!r}") from exc
-    if isinstance(default, str):
-        return raw
-    return _parse_literal(raw)
+    return raw
 
 
 def parse_config_text(text: str) -> dict[str, object]:

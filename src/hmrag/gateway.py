@@ -29,6 +29,7 @@ from .errors import (
     GatewayError,
     ScriptMismatchError,
 )
+from .ingest import check_vector_entries
 
 _TURN_ROLES = ("system", "user", "assistant")
 
@@ -301,12 +302,7 @@ class HTTPEmbeddingBackend(_HTTPModelClient):
     def embed(self, text: str) -> np.ndarray:
         data = self._post({"model": self.config.model_name, "input": [text]})
         try:
-            vector = data["data"][0]["embedding"]
-            # bool is an int subclass, and numpy would read None as NaN and "1" as 1.0
-            if not (isinstance(vector, list) and vector
-                    and all(type(x) in (int, float) for x in vector)):
-                raise TypeError(f"embedding is not a non-empty list of numbers: {vector!r:.80}")
-            array = np.array(vector, dtype=np.float64)
+            array = np.array(check_vector_entries(data["data"][0]["embedding"]), dtype=np.float64)
         except (KeyError, IndexError, TypeError, OverflowError) as exc:
             raise GatewayError(f"unexpected embedding response shape: {exc}") from exc
         if not np.isfinite(array).all():

@@ -99,17 +99,12 @@ def retrieve_subgraph(keywords: KeywordSet, graph: KnowledgeGraph, tau: float, e
     entity_scores = _max_relevance(entity_names, local_vectors, embed)
     seeds = {name for name, score in zip(entity_names, entity_scores) if score > tau}
 
-    selected: dict[tuple[str, str, str], None] = {}
-    for triplet in graph.triplets:
-        head, _, tail = triplet
-        if head in seeds or tail in seeds:
-            selected.setdefault(triplet, None)
-
-    all_triplets = graph.triplets
-    relation_scores = _max_relevance([t[1] for t in all_triplets], global_vectors, embed)
-    for triplet, score in zip(all_triplets, relation_scores):
-        if score > tau:
-            selected.setdefault(triplet, None)
+    triplets = graph.triplets
+    relation_scores = _max_relevance([t[1] for t in triplets], global_vectors, embed)
+    # entity-incident triplets first, then relation matches, each in graph order
+    selected = dict.fromkeys(
+        [t for t in triplets if t[0] in seeds or t[2] in seeds]
+        + [t for t, score in zip(triplets, relation_scores) if score > tau])
 
     endpoints = {name for t in selected for name in (t[0], t[2])}
     return Subgraph(

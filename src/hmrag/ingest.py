@@ -76,6 +76,14 @@ def check_embedding(vector, dim: int) -> np.ndarray:
     return vector
 
 
+def check_vector_entries(values) -> list:
+    """`values` if a non-empty list of int or float entries, else TypeError: numpy would
+    read None as NaN and "1" or True as 1.0. Callers then check their float array is finite."""
+    if type(values) is not list or not values or not set(map(type, values)) <= {int, float}:
+        raise TypeError(f"vector is not a non-empty list of numbers: {values!r:.80}")
+    return values
+
+
 class EmbeddingIndex:
     """Immutable exact-search index: one (chunk_id, vector, text) per chunk."""
 
@@ -124,7 +132,7 @@ class EmbeddingIndex:
         def parse(lineno, rec):
             if lineno == 1:
                 return int(rec["dim"]), int(rec["count"])
-            return rec["chunk_id"], rec["text"], rec["vector"]
+            return rec["chunk_id"], rec["text"], check_vector_entries(rec["vector"]), lineno
 
         lines = _read_jsonl(path, "index record", parse)
         if not lines or len(lines[0]) != 2:
@@ -132,8 +140,15 @@ class EmbeddingIndex:
         (dim, count), records = lines[0], lines[1:]
         if len(records) != count:
             raise ValueError(f"index header says {count} records, file has {len(records)}")
-        chunk_ids, texts, rows = zip(*records) if records else ((), (), ())
-        matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
+        chunk_ids, texts, rows, linenos = zip(*records) if records else ((), (), (), ())
+        try:
+            matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
+        except OverflowError as exc:
+            raise ValueError(f"bad index record in {path}: {exc}") from exc
+        nonfinite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        if nonfinite.size:
+            raise ValueError(
+                f"bad index record at {path} line {linenos[nonfinite[0]]}: non-finite entry")
         return cls(dim, list(chunk_ids), list(texts), matrix)
 
 
@@ -150,7 +165,9 @@ class KnowledgeGraph:
     Entity names are deduplicated case-insensitively; the first-seen
     spelling is kept as canonical. Triplets referencing an undeclared
     entity auto-create it with an empty description, since extraction
-    output is noisy by nature.
+    output is noisy by nature. Entities and triplets keep the order they
+    were first added, which `save` writes and `load` restores, and
+    equality compares in that order.
     """
 
     def __init__(self):
@@ -163,11 +180,11 @@ class KnowledgeGraph:
     def __eq__(self, other):
         if not isinstance(other, KnowledgeGraph):
             return NotImplemented
-        return self._entities == other._entities and set(self._triplets) == set(other._triplets)
+        return self.entities == other.entities and self.triplets == other.triplets
 
     @property
     def entities(self) -> list[Entity]:
-        return sorted(self._entities.values(), key=lambda e: e.name.casefold())
+        return list(self._entities.values())
 
     @property
     def triplets(self) -> list[tuple[str, str, str]]:
@@ -218,7 +235,7 @@ class KnowledgeGraph:
                  "visual_location": entity.visual_location},
                 ensure_ascii=False,
             ))
-        for head, relation, tail in sorted(self._triplets.values()):
+        for head, relation, tail in self.triplets:
             lines.append(json.dumps(
                 {"kind": "triplet", "head": head, "relation": relation, "tail": tail},
                 ensure_ascii=False,

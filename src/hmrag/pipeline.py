@@ -115,11 +115,14 @@ class QueryTrace:
         return json.dumps(self.to_dict(), ensure_ascii=False, indent=indent, sort_keys=True)
 
 
+def _qa_blocks(prior: list[tuple[str, str]]) -> str:
+    return "\n\n".join(f"Q: {q}\nA: {a}" for q, a in prior)
+
+
 def compose_contextual_query(sub_query: str, prior: list[tuple[str, str]]) -> str:
     if not prior:
         return sub_query
-    blocks = [f"Q: {q}\nA: {a}" for q, a in prior]
-    return sub_query + "\n\nAnswers to earlier sub-questions:\n" + "\n\n".join(blocks)
+    return sub_query + "\n\nAnswers to earlier sub-questions:\n" + _qa_blocks(prior)
 
 
 class Pipeline:
@@ -166,33 +169,29 @@ class Pipeline:
         # one list per agent, so a timed-out agent's late warnings stay out of the trace
         warnings = {source: [] for source in self._order}
         pool = concurrent.futures.ThreadPoolExecutor(max_workers=len(self._order))
-        try:
-            # each agent runs in a copy of the query's context, so its calls, late
-            # ones from a timed-out agent too, land only in this query's call list
-            futures = {source: pool.submit(contextvars.copy_context().run,
-                                           self._agents[source].run, query, warnings[source])
-                       for source in self._order}
-            for source in self._order:
-                try:
-                    candidate = futures[source].result(timeout=self.cfg.agent_timeout_s)
-                    entry.warnings.extend(warnings[source])
-                except concurrent.futures.TimeoutError:
-                    candidate = unavailable_candidate(source)
-                    trace_warning(entry.warnings,
-                                  f"{source} agent timed out after {self.cfg.agent_timeout_s}s")
-                candidates.append(candidate)
-        finally:
-            # wait=False so a timed-out agent cannot stall the query; its
-            # thread finishes in the background and is simply ignored
-            pool.shutdown(wait=False)
+        # each agent runs in a copy of the query's context, so its calls, late
+        # ones from a timed-out agent too, land only in this query's call list
+        futures = {source: pool.submit(contextvars.copy_context().run,
+                                       self._agents[source].run, query, warnings[source])
+                   for source in self._order}
+        # one deadline for all agents, counted from the start of the fan-out
+        done, _ = concurrent.futures.wait(futures.values(), timeout=self.cfg.agent_timeout_s)
+        # wait=False so a timed-out agent cannot stall the query; its
+        # thread finishes in the background and is simply ignored
+        pool.shutdown(wait=False)
+        for source in self._order:
+            if futures[source] in done:
+                candidates.append(futures[source].result())
+                entry.warnings.extend(warnings[source])
+            else:
+                candidates.append(unavailable_candidate(source))
+                trace_warning(entry.warnings,
+                              f"{source} agent timed out after {self.cfg.agent_timeout_s}s")
         return candidates
 
     def _fallback_answer(self, candidates: list[AnswerCandidate]) -> AnswerCandidate | None:
         by_source = {c.source: c for c in candidates if c.available}
-        for source in FALLBACK_ORDER:
-            if source in by_source:
-                return by_source[source]
-        return None
+        return next((by_source[s] for s in FALLBACK_ORDER if s in by_source), None)
 
     def run_query(self, question: str) -> QueryTrace:
         if not question or not question.strip():
@@ -236,8 +235,8 @@ class Pipeline:
 
                 final = prior[-1][1]
                 if plan.multi_intent:
-                    blocks = "\n\n".join(f"Q: {q}\nA: {a}" for q, a in prior)
-                    prompt = self._templates.render("final_refine", question=question, answers=blocks)
+                    prompt = self._templates.render("final_refine", question=question,
+                                                    answers=_qa_blocks(prior))
                     final = self._gateway.complete_chat(prompt, role="lightweight_chat")
                 trace.final_answer = final
                 return trace
@@ -265,6 +264,8 @@ class EvalRecord:
 
 
 def parse_eval_record(raw: dict) -> EvalRecord:
+    if not isinstance(raw, dict):
+        raise ValueError("record is not a JSON object")
     choices = raw.get("choices")
     if not isinstance(choices, list) or not choices or len(choices) > len(_CHOICE_LABELS):
         raise ValueError("record needs 1-5 choices")

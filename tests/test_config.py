@@ -37,10 +37,13 @@ def test_parse_rejects_bad_lines_and_values():
         parse_config_text("decision.enabled = maybe")
 
 
-def test_unknown_keys_parse_as_literals():
+def test_unknown_keys_are_kept_verbatim():
     values = parse_config_text("prompts.file.vector_header = /tmp/custom.txt\ncustom.flag = true")
     assert values["prompts.file.vector_header"] == "/tmp/custom.txt"
-    assert values["custom.flag"] is True
+    assert values["custom.flag"] == "true"
+    # a numeric-looking path stays the file name it spells
+    values = parse_config_text("prompts.file.vector_header = 0010")
+    assert values["prompts.file.vector_header"] == "0010"
 
 
 def test_load_config_merges_file_over_defaults(tmp_path):

@@ -197,6 +197,45 @@ def test_expand_one_hop_matches_adjacency_oracle_on_random_graphs():
             assert expanded.expanded_entities >= sub.expanded_entities
 
 
+def graph_evidence(graph, keywords, tau=0.3, embed=HashingEmbeddingBackend(64, 0).embed):
+    return serialize_subgraph(
+        expand_one_hop(retrieve_subgraph(keywords, graph, tau, embed), graph), graph)
+
+
+def test_loaded_graph_keeps_first_added_order_and_evidence(tmp_path):
+    graph = KnowledgeGraph()
+    graph.add_triplet("Zetapolis", "capital_of", "Zeta")
+    graph.add_triplet("Alphapolis", "capital_of", "Alpha")
+    path = tmp_path / "graph.jsonl"
+    graph.save(path)
+    loaded = KnowledgeGraph.load(path)
+    assert loaded.entities == graph.entities
+    assert loaded.triplets == graph.triplets
+    keywords = make_keyword_set([], ["capital_of"])
+    evidence = graph_evidence(graph, keywords)
+    assert evidence[:2] == ["Zetapolis —capital_of→ Zeta", "Alphapolis —capital_of→ Alpha"]
+    assert graph_evidence(loaded, keywords) == evidence
+
+    swapped = KnowledgeGraph()
+    swapped.add_triplet("Alphapolis", "capital_of", "Alpha")
+    swapped.add_triplet("Zetapolis", "capital_of", "Zeta")
+    assert swapped != graph
+
+
+def test_random_graphs_round_trip_in_order(tmp_path):
+    rng = np.random.default_rng(23)
+    path = tmp_path / "graph.jsonl"
+    for _ in range(20):
+        graph, sub = _random_graph_and_subgraph(rng, mixed_case=True)
+        graph.save(path)
+        loaded = KnowledgeGraph.load(path)
+        assert loaded == graph
+        assert loaded.entities == graph.entities
+        assert loaded.triplets == graph.triplets
+        keywords = make_keyword_set(sorted(sub.seed_entities), [t[1] for t in sub.triplets])
+        assert graph_evidence(loaded, keywords) == graph_evidence(graph, keywords)
+
+
 def test_serialize_includes_descriptions_and_visual_location():
     graph = KnowledgeGraph()
     graph.add_entity("earth", "blue planet")

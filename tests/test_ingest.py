@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,26 @@ def test_index_persist_roundtrip_and_rebuild_identical(tmp_path, hashing_backend
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+@pytest.mark.parametrize("vector", ["[null, 1]", '["1", 2]', "[true, 0]", "[NaN, 1]"])
+def test_index_load_rejects_vector_entries_that_are_not_finite_numbers(tmp_path, vector):
+    index = EmbeddingIndex(2, ["a", "b", "c"], ["x", "y", "z"], np.eye(3, 2))
+    path = tmp_path / "index.jsonl"
+    index.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace("[0.0, 1.0]", vector)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"bad index record at {re.escape(str(path))} line 3"):
+        EmbeddingIndex.load(path)
+
+
+def test_index_load_rejects_an_integer_beyond_float_range(tmp_path):
+    path = tmp_path / "index.jsonl"
+    path.write_text('{"dim": 2, "count": 1}\n{"chunk_id": "a", "text": "t", "vector": [1%s, 0]}\n'
+                    % ("0" * 400), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"bad index record in {re.escape(str(path))}"):
+        EmbeddingIndex.load(path)
+
+
 def test_parse_extraction_lines():
     response = "ENTITY|sun|star\nENTITY|earth|planet\nREL|earth|orbits|sun\nnoise line"
     entities, triplets = parse_extraction_response(response)
@@ -181,7 +202,7 @@ def test_extract_graph_deduplicates_entities_across_docs(templates):
     graph = extract_graph(docs, make_gateway(chat=chat), templates)
     # case-folded dedup keeps the first spelling and first description
     names = [e.name for e in graph.entities]
-    assert names == ["Earth", "Sun"]
+    assert names == ["Sun", "Earth"]  # first-seen order
     assert graph.get_entity("sun").name == "Sun"
     assert graph.get_entity("sun").description == "star"
 

@@ -243,6 +243,25 @@ def test_agent_timeout_yields_unavailable_candidate(small_world, caplog):
     assert elapsed < 0.45  # the stuck agent must not stall the query
 
 
+def test_fan_out_agents_share_one_deadline(small_world):
+    pipeline = small_world.make_pipeline(decision_enabled=False, agent_timeout_s=1.0)
+
+    def delayed(run, delay):
+        def run_later(query, warnings=None):
+            time.sleep(delay)
+            return run(query, warnings)
+        return run_later
+
+    for source, delay in (("vector", 0.5), ("graph", 1.2)):
+        agent = pipeline._agents[source]
+        agent.run = delayed(agent.run, delay)
+    trace = pipeline.run_query(format_eval_question(small_world.eval_records[0]))
+    entry = trace.entries[0]
+    assert [(c.source, c.available) for c in entry.candidates] == [
+        ("vector", True), ("graph", False), ("web", True)]
+    assert entry.warnings == ["graph agent timed out after 1.0s"]
+
+
 LATE_DETAIL = "late call from a timed-out search"
 
 
@@ -611,6 +630,14 @@ def test_run_eval_counts_and_tags(tmp_path, small_world):
     assert report["skipped"] == 2
     assert set(report["per_tag"]) == {"coastal", "inland"}
     assert report["per_tag"]["inland"]["total"] == 2
+
+
+def test_run_eval_skips_lines_that_are_not_objects(tmp_path, small_world):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text('[1, 2]\n"text"\n', encoding="utf-8")
+    report = run_eval(small_world.make_pipeline(), dataset)
+    assert report["total"] == 0
+    assert report["skipped"] == 2
 
 
 def test_eval_question_includes_context_fields():
