@@ -115,14 +115,7 @@ def build_web_client(cfg: dict):
 
 
 def build_templates(cfg: dict) -> TemplateSet:
-    file_overrides = {}
-    for key, value in cfg.items():
-        if key.startswith("prompts.file.") and value:
-            file_overrides[key.removeprefix("prompts.file.")] = str(value)
-    return TemplateSet(
-        overrides_dir=str(cfg["prompts.dir"]) or None,
-        file_overrides=file_overrides,
-    )
+    return TemplateSet(str(cfg["prompts.dir"]) or None)
 
 
 def build_pipeline_config(cfg: dict, disabled_agents=(), decision_enabled=None) -> PipelineConfig:
@@ -137,7 +130,6 @@ def build_pipeline_config(cfg: dict, disabled_agents=(), decision_enabled=None) 
         tau=float(cfg["graph.tau"]),
         fusion_lambda=float(cfg["decision.fusion_lambda"]),
         consensus_threshold=float(cfg["decision.consensus_threshold"]),
-        bleu_max_n=int(cfg["decision.bleu_max_n"]),
         summary_token_budget=int(cfg["decision.summary_token_budget"]),
         agent_timeout_s=float(cfg["orchestrator.agent_timeout_s"]),
         search=SearchConfig(
@@ -213,11 +205,10 @@ def cmd_query(args) -> int:
 
 def cmd_eval(args) -> int:
     pipeline = _make_pipeline(args)
-    report = run_eval(pipeline, args.dataset)
-    Path(args.report).write_text(
-        json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    # opened before the first question, so an unwritable path costs no model call
+    with open(args.report, "w", encoding="utf-8") as out:
+        report = run_eval(pipeline, args.dataset)
+        out.write(json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
     print(f"accuracy {report['accuracy']:.4f} "
           f"({report['correct']}/{report['total']}, {report['skipped']} skipped)")
     return 0
@@ -273,7 +264,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (HmragError, ValueError) as exc:
+    except (HmragError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         trace = getattr(exc, "trace", None)
         if trace is not None:

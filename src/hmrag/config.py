@@ -2,9 +2,9 @@
 
 A config file holds ``key = value`` lines; ``#`` starts a full-line
 comment. The file path comes from ``--config`` or the ``HMRAG_CONFIG``
-environment variable. Values for known keys are coerced to the type of
-the default; unknown keys, such as ``prompts.file.<name>`` paths, are
-kept verbatim as strings, so old files with retired keys still load.
+environment variable. ``DEFAULTS`` holds every key a file may set; each
+value is coerced to the type of its default, and any other key, a
+misspelt or a retired one, is an error naming its line.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ DEFAULTS: dict[str, object] = {
     "decision.enabled": True,
     "decision.fusion_lambda": 0.5,
     "decision.consensus_threshold": 0.5,
-    "decision.bleu_max_n": 4,
     "decision.summary_token_budget": 64,
     "agents.enabled": "vector,graph,web",
     "orchestrator.agent_timeout_s": 30.0,
@@ -61,7 +60,7 @@ DEFAULTS["expert_chat.backend"] = "inherit"
 
 
 def _coerce(key: str, raw: str):
-    default = DEFAULTS.get(key)
+    default = DEFAULTS[key]
     if isinstance(default, bool):
         if raw.lower() not in ("true", "false"):
             raise ConfigError(f"{key} expects true/false, got {raw!r}")
@@ -89,8 +88,8 @@ def parse_config_text(text: str) -> dict[str, object]:
             raise ConfigError(f"config line {lineno} is not 'key = value': {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if not key:
-            raise ConfigError(f"config line {lineno} has an empty key")
+        if key not in DEFAULTS:
+            raise ConfigError(f"config line {lineno} sets unknown key {key!r}")
         values[key] = _coerce(key, raw.strip())
     return values
 

@@ -9,10 +9,10 @@ evidence attached.
 Metric conventions, fixed for reproducibility:
   - tokenization case-folds and splits on whitespace and punctuation;
   - LCS overlap normalizes by the longer sequence;
-  - n-gram precision uses n up to min(max_n, len(candidate)) with the
-    configured weights as given, collapses to 0 when any used precision
-    is 0 (no smoothing), and applies a min(1, len(ref)/len(cand)) factor
-    that penalizes long candidates;
+  - n-gram precision uses n up to min(4, len(candidate)), each n weighing
+    1/4, collapses to 0 when any used precision is 0 (no smoothing), and
+    applies a min(1, len(ref)/len(cand)) factor that penalizes long
+    candidates;
   - pairwise fusion symmetrizes the directional n-gram metric so voting
     is order-independent.
 """
@@ -38,6 +38,7 @@ logger = logging.getLogger(__name__)
 SOURCES = ("vector", "graph", "web")
 ROUTE_LIGHTWEIGHT = "lightweight"
 ROUTE_EXPERT = "expert"
+BLEU_MAX_N = 4
 
 _WORD = re.compile(r"\w+")
 
@@ -119,23 +120,21 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidate, reference, max_n: int = 4) -> float:
+def bleu(candidate, reference) -> float:
     """Uniformly weighted n-gram precision of `candidate` against `reference`.
 
-    n runs from 1 to min(max_n, len(candidate)); each n weighs 1/max_n,
-    without renormalization over the used range.
+    n runs from 1 to min(BLEU_MAX_N, len(candidate)); each n weighs
+    1/BLEU_MAX_N, without renormalization over the used range.
     """
     candidate, reference = list(candidate), list(reference)
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    weight = 1.0 / max_n
+    weight = 1.0 / BLEU_MAX_N
     if not candidate:
         logger.warning("bleu over an empty candidate scores 0")
         return 0.0
     if not reference:
         return 0.0
     log_sum = 0.0
-    for n in range(1, min(max_n, len(candidate)) + 1):
+    for n in range(1, min(BLEU_MAX_N, len(candidate)) + 1):
         counts = _ngram_counts(candidate, n)
         clipped = counts & _ngram_counts(reference, n)
         precision = sum(clipped.values()) / sum(counts.values())
@@ -146,23 +145,21 @@ def bleu(candidate, reference, max_n: int = 4) -> float:
     return math.exp(log_sum) * brevity
 
 
-def pair_metrics(summary_a: str, summary_b: str, fusion_lambda: float,
-                 max_n: int) -> tuple[float, float, float]:
+def pair_metrics(summary_a: str, summary_b: str, fusion_lambda: float) -> tuple[float, float, float]:
     """(LCS overlap, symmetrized n-gram precision, their lambda-weighted blend)."""
     tokens_a, tokens_b = tokenize(summary_a), tokenize(summary_b)
     rouge = rouge_l(tokens_a, tokens_b)
-    sym_bleu = (bleu(tokens_a, tokens_b, max_n) + bleu(tokens_b, tokens_a, max_n)) / 2
+    sym_bleu = (bleu(tokens_a, tokens_b) + bleu(tokens_b, tokens_a)) / 2
     return rouge, sym_bleu, fusion_lambda * rouge + (1 - fusion_lambda) * sym_bleu
 
 
-def fused_similarity(a: AnswerCandidate, b: AnswerCandidate, fusion_lambda: float,
-                     max_n: int = 4) -> float:
+def fused_similarity(a: AnswerCandidate, b: AnswerCandidate, fusion_lambda: float) -> float:
     """lambda-weighted blend of LCS overlap and symmetrized n-gram precision."""
     if not 0 <= fusion_lambda <= 1:
         raise ValueError("fusion_lambda must be in [0, 1]")
     if a.summary is None or b.summary is None:
         raise ValueError("both candidates need summaries before scoring")
-    return pair_metrics(a.summary, b.summary, fusion_lambda, max_n)[2]
+    return pair_metrics(a.summary, b.summary, fusion_lambda)[2]
 
 
 def format_answers(candidates, with_evidence: bool = False) -> str:
@@ -182,12 +179,11 @@ def _pair_key(source_a: str, source_b: str) -> str:
 class DecisionAgent:
     def __init__(self, gateway, templates: TemplateSet | None = None,
                  fusion_lambda: float = 0.5, consensus_threshold: float = 0.5,
-                 bleu_max_n: int = 4, summary_token_budget: int = 64):
+                 summary_token_budget: int = 64):
         self._gateway = gateway
         self._templates = templates or TemplateSet()
         self.fusion_lambda = fusion_lambda
         self.consensus_threshold = consensus_threshold
-        self.bleu_max_n = bleu_max_n
         self.summary_token_budget = summary_token_budget
 
     def summarize(self, candidate: AnswerCandidate,
@@ -251,8 +247,7 @@ class DecisionAgent:
         pair_scores: dict[str, dict[str, float]] = {}
         fused_values = []
         for a, b in itertools.combinations(available, 2):
-            rouge, sym_bleu, fused = pair_metrics(a.summary, b.summary, self.fusion_lambda,
-                                                  self.bleu_max_n)
+            rouge, sym_bleu, fused = pair_metrics(a.summary, b.summary, self.fusion_lambda)
             pair_scores[_pair_key(a.source, b.source)] = {
                 "rouge_l": rouge, "bleu": sym_bleu, "fused": fused,
             }

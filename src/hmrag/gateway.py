@@ -3,7 +3,7 @@
 Backends are pluggable: HTTP clients speaking the common chat-completions
 and embeddings JSON wire formats over one transport (`post_with_retries`,
 which web search uses too), plus deterministic scripted doubles for tests
-and offline runs. Decoding defaults enforce temperature 0 / top_p 1
+and offline runs. Every chat request is sent with temperature 0 and top_p 1,
 so every call is reproducible given the same backend state.
 """
 
@@ -32,21 +32,17 @@ from .errors import (
 from .ingest import check_vector_entries
 
 _TURN_ROLES = ("system", "user", "assistant")
+_TEMPERATURE = 0.0
+_TOP_P = 1.0
 
 
 @dataclass(frozen=True)
 class DecodingParams:
-    """Decoding constraints; the defaults pin deterministic generation."""
+    """The one decoding value a chat call varies: its token cap."""
 
-    temperature: float = 0.0
-    top_p: float = 1.0
     max_tokens: int = 1024
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not 0 < self.top_p <= 1.0:
-            raise ValueError("top_p must be in (0, 1]")
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be positive")
 
@@ -272,8 +268,8 @@ class _HTTPModelClient:
         data = self._post({
             "model": self.config.model_name,
             "messages": messages,
-            "temperature": params.temperature,
-            "top_p": params.top_p,
+            "temperature": _TEMPERATURE,
+            "top_p": _TOP_P,
             "max_tokens": params.max_tokens,
         })
         try:

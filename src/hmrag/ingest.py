@@ -138,9 +138,13 @@ class EmbeddingIndex:
         if not lines or len(lines[0]) != 2:
             raise ValueError(f"{path} does not start with an index header")
         (dim, count), records = lines[0], lines[1:]
+        chunk_ids, texts, rows, linenos = zip(*records) if records else ((), (), (), ())
+        for row, lineno in zip(rows, linenos):
+            if len(row) != dim:
+                raise ValueError(f"bad index record at {path} line {lineno}: "
+                                 f"vector has {len(row)} entries, header dim is {dim}")
         if len(records) != count:
             raise ValueError(f"index header says {count} records, file has {len(records)}")
-        chunk_ids, texts, rows, linenos = zip(*records) if records else ((), (), (), ())
         try:
             matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
         except OverflowError as exc:

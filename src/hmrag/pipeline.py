@@ -53,7 +53,6 @@ class PipelineConfig:
     tau: float = 0.3
     fusion_lambda: float = 0.5
     consensus_threshold: float = 0.5
-    bleu_max_n: int = 4
     summary_token_budget: int = 64
     agent_timeout_s: float = 30.0
     search: SearchConfig = field(default_factory=SearchConfig)
@@ -67,7 +66,7 @@ class PipelineConfig:
         for name in ("tau", "fusion_lambda", "consensus_threshold"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("top_k", "bleu_max_n", "summary_token_budget"):
+        for name in ("top_k", "summary_token_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if self.agent_timeout_s <= 0:
@@ -146,7 +145,6 @@ class Pipeline:
             gateway, self._templates,
             fusion_lambda=self.cfg.fusion_lambda,
             consensus_threshold=self.cfg.consensus_threshold,
-            bleu_max_n=self.cfg.bleu_max_n,
             summary_token_budget=self.cfg.summary_token_budget,
         )
         self._agents = {}

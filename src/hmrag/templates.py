@@ -1,8 +1,8 @@
 """Prompt template loading and rendering.
 
 Templates ship as plain-text files under ``hmrag/prompts/`` and use
-``{name}`` placeholders. A config-supplied directory can override any
-template by filename, and individual templates can be overridden by path.
+``{name}`` placeholders. A config-supplied directory (``prompts.dir``)
+can override any template by filename.
 """
 
 from __future__ import annotations
@@ -46,32 +46,28 @@ def render(template: str, **fields) -> str:
 
 
 class TemplateSet:
-    """Named prompt templates with optional per-file overrides."""
+    """The named prompt templates, all read when the set is built, so a bad
+    override fails before any model call. `<name>.txt` in `overrides_dir`
+    replaces the packaged template of that name."""
 
-    def __init__(self, overrides_dir: str | Path | None = None,
-                 file_overrides: dict[str, str] | None = None):
-        self._overrides_dir = Path(overrides_dir) if overrides_dir else None
-        self._file_overrides = dict(file_overrides or {})
-        self._cache: dict[str, str] = {}
+    def __init__(self, overrides_dir: str | Path | None = None):
+        if overrides_dir and not Path(overrides_dir).is_dir():
+            raise ConfigError(f"prompt overrides directory is not a directory: {overrides_dir}")
+        packaged = resources.files("hmrag") / "prompts"
+        self._texts = {}
+        for name in TEMPLATE_NAMES:
+            path = Path(overrides_dir, f"{name}.txt") if overrides_dir else None
+            if path is None or not path.exists():
+                path = packaged / f"{name}.txt"
+            try:
+                self._texts[name] = path.read_text(encoding="utf-8")
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read prompt template {path}: {exc}") from exc
 
     def text(self, name: str) -> str:
-        if name not in TEMPLATE_NAMES:
+        if name not in self._texts:
             raise ConfigError(f"unknown template {name!r}")
-        if name not in self._cache:
-            self._cache[name] = self._load(name)
-        return self._cache[name]
-
-    def _load(self, name: str) -> str:
-        override = self._file_overrides.get(name)
-        if override:
-            return Path(override).read_text(encoding="utf-8")
-        if self._overrides_dir is not None:
-            candidate = self._overrides_dir / f"{name}.txt"
-            if candidate.is_file():
-                return candidate.read_text(encoding="utf-8")
-        return (
-            resources.files("hmrag").joinpath("prompts", f"{name}.txt").read_text(encoding="utf-8")
-        )
+        return self._texts[name]
 
     def render(self, name: str, **fields) -> str:
         return render(self.text(name), **fields)

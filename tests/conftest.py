@@ -2,6 +2,7 @@ import json
 import threading
 
 import pytest
+from hypothesis import strategies as st
 
 from hmrag.gateway import (
     CallLog,
@@ -11,6 +12,14 @@ from hmrag.gateway import (
     ScriptedChatBackend,
 )
 from hmrag.templates import TemplateSet
+
+# arbitrary JSON for payload fuzzing; None doubles as "not JSON at all" in FakeResponse
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
 
 
 class FakeResponse:

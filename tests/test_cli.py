@@ -3,7 +3,9 @@ import shutil
 
 import pytest
 
+import hmrag.cli as cli_mod
 from hmrag.cli import main
+from hmrag.gateway import HashingEmbeddingBackend, ScriptedChatBackend
 from hmrag.pipeline import format_eval_question
 
 from world import build_world
@@ -140,12 +142,17 @@ def test_disabled_agent_store_is_never_read(world_dir, store_dir, tmp_path, caps
     assert sources == ["graph", "web"]
 
 
-@pytest.mark.parametrize("filename, what, bad_line", [
-    ("graph.jsonl", "graph record", {"kind": "entity"}),
-    ("index.jsonl", "index record", {"chunk_id": "extra", "text": "no vector"}),
+@pytest.mark.parametrize("filename, what, bad_line, error", [
+    ("graph.jsonl", "graph record", {"kind": "entity"}, "KeyError"),
+    ("index.jsonl", "index record", {"chunk_id": "extra", "text": "no vector"}, "KeyError"),
+    # rows shorter or longer than the header's dim
+    ("index.jsonl", "index record", {"chunk_id": "extra", "text": "t", "vector": [1.0]},
+     "vector has 1 entries, header dim is 64"),
+    ("index.jsonl", "index record", {"chunk_id": "extra", "text": "t", "vector": [1.0] * 65},
+     "vector has 65 entries, header dim is 64"),
 ])
 def test_malformed_store_line_is_reported_with_file_and_line(
-        world_dir, store_dir, tmp_path, capsys, filename, what, bad_line):
+        world_dir, store_dir, tmp_path, capsys, filename, what, bad_line, error):
     store = tmp_path / "copy"
     shutil.copytree(store_dir, store)
     path = store / filename
@@ -155,4 +162,50 @@ def test_malformed_store_line_is_reported_with_file_and_line(
         "query", "--store", str(store), "--config", str(world_dir.paths["config"]), "anything?",
     ], capsys)
     assert code == 1
-    assert f"error: bad {what} at {path} line {len(lines)}: KeyError" in err
+    assert f"error: bad {what} at {path} line {len(lines)}: {error}" in err
+
+
+def test_missing_dataset_is_one_error_line(world_dir, store_dir, tmp_path, capsys):
+    code, out, err = run_cli([
+        "eval", "--store", str(store_dir), "--dataset", str(tmp_path / "missing.jsonl"),
+        "--report", str(tmp_path / "report.json"), "--config", str(world_dir.paths["config"]),
+    ], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "missing.jsonl" in err
+
+
+def test_unwritable_report_fails_before_any_question(
+        world_dir, store_dir, tmp_path, capsys, monkeypatch):
+    def no_eval(*args, **kwargs):
+        raise AssertionError("no question may be asked")
+
+    monkeypatch.setattr(cli_mod, "run_eval", no_eval)
+    code, out, err = run_cli([
+        "eval", "--store", str(store_dir), "--dataset", str(world_dir.paths["dataset"]),
+        "--report", str(tmp_path / "nodir" / "r.json"), "--config", str(world_dir.paths["config"]),
+    ], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nodir" in err
+
+
+@pytest.mark.parametrize("line", ["prompts.file.vector_header = custom.txt",
+                                  "decision.bleu_max_n = 2"])
+def test_retired_config_key_stops_query_before_any_backend_call(
+        world_dir, store_dir, tmp_path, capsys, monkeypatch, line):
+    def no_backend(*args, **kwargs):
+        raise AssertionError("no backend may be called")
+
+    monkeypatch.setattr(ScriptedChatBackend, "complete", no_backend)
+    monkeypatch.setattr(HashingEmbeddingBackend, "embed", no_backend)
+    config = tmp_path / "hmrag.conf"
+    config.write_text(world_dir.paths["config"].read_text(encoding="utf-8") + line + "\n",
+                      encoding="utf-8")
+    lineno = len(config.read_text(encoding="utf-8").splitlines())
+    code, out, err = run_cli([
+        "query", "--store", str(store_dir), "--config", str(config), "anything?",
+    ], capsys)
+    assert code == 1
+    key = line.partition(" =")[0]
+    assert err == f"error: config line {lineno} sets unknown key '{key}'\n"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from hmrag.config import DEFAULTS, format_defaults, load_config, parse_config_text
@@ -37,13 +39,13 @@ def test_parse_rejects_bad_lines_and_values():
         parse_config_text("decision.enabled = maybe")
 
 
-def test_unknown_keys_are_kept_verbatim():
-    values = parse_config_text("prompts.file.vector_header = /tmp/custom.txt\ncustom.flag = true")
-    assert values["prompts.file.vector_header"] == "/tmp/custom.txt"
-    assert values["custom.flag"] == "true"
-    # a numeric-looking path stays the file name it spells
-    values = parse_config_text("prompts.file.vector_header = 0010")
-    assert values["prompts.file.vector_header"] == "0010"
+def test_unknown_keys_are_refused():
+    # a misspelt key, then retired ones that would otherwise change prompts or metrics unnoticed
+    for line in ("retrieval.topk = 7", "web.type = stub", "decision.bleu_max_n = 2",
+                 "prompts.file.vector_header = 0010"):
+        key = line.partition(" =")[0]
+        with pytest.raises(ConfigError, match=f"^config line 3 sets unknown key '{re.escape(key)}'$"):
+            parse_config_text(f"retrieval.top_k = 7\n# a comment\n{line}\n")
 
 
 def test_load_config_merges_file_over_defaults(tmp_path):
@@ -88,13 +90,16 @@ def test_template_overrides_dir(tmp_path):
     assert "{question}" in templates.text("judge_intent")
 
 
-def test_template_file_override_beats_dir(tmp_path):
-    (tmp_path / "vector_header.txt").write_text("FROM DIR", encoding="utf-8")
-    single = tmp_path / "special.txt"
-    single.write_text("FROM FILE", encoding="utf-8")
-    templates = TemplateSet(overrides_dir=tmp_path,
-                            file_overrides={"vector_header": str(single)})
-    assert templates.text("vector_header") == "FROM FILE"
+def test_template_override_that_is_not_utf8_fails_when_the_set_is_built(tmp_path):
+    path = tmp_path / "summarize.txt"
+    path.write_bytes(b"Summarize \xff{text}")
+    with pytest.raises(ConfigError, match=f"cannot read prompt template {re.escape(str(path))}"):
+        TemplateSet(overrides_dir=tmp_path)
+
+
+def test_template_overrides_dir_must_be_a_directory(tmp_path):
+    with pytest.raises(ConfigError, match="not a directory"):
+        TemplateSet(overrides_dir=tmp_path / "missing")
 
 
 def test_unknown_template_name_rejected():

