@@ -31,6 +31,9 @@ from conftest import JSON_VALUES, CountingChatBackend, FakeResponse, make_gatewa
 
 
 @pytest.mark.parametrize("kwargs", [
+    {"max_tokens": -1},
+    {"max_tokens": -1024},
+    {"max_tokens": -(2**31)},
     {"max_tokens": 0},
 ])
 def test_decoding_params_rejects_bad_values(kwargs):
