@@ -150,9 +150,7 @@ def _load_store(load, path: Path, agent: str, enabled):
 
 def _make_pipeline(args) -> Pipeline:
     cfg = config_mod.load_config(args.config)
-    disabled = tuple(args.disable_agent or ())
-    decision_enabled = False if getattr(args, "no_decision", False) else None
-    pipeline_cfg = build_pipeline_config(cfg, disabled, decision_enabled)
+    pipeline_cfg = build_pipeline_config(cfg, args.disable_agent, False if args.no_decision else None)
     call_log = CallLog()
     gateway = build_gateway(cfg, call_log)
     web_client = build_web_client(cfg) if "web" in pipeline_cfg.enabled_agents else None
@@ -235,22 +233,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--config", default=None)
     p_ingest.set_defaults(func=cmd_ingest)
 
-    p_query = sub.add_parser("query", help="answer one question against a store")
-    p_query.add_argument("--store", required=True)
-    p_query.add_argument("--config", default=None)
-    p_query.add_argument("--disable-agent", action="append", choices=list(SOURCES), default=[])
-    p_query.add_argument("--no-decision", action="store_true")
+    # the store and pipeline options that query and eval share
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--store", required=True)
+    shared.add_argument("--config", default=None)
+    shared.add_argument("--disable-agent", action="append", choices=list(SOURCES), default=[])
+    shared.add_argument("--no-decision", action="store_true")
+
+    p_query = sub.add_parser("query", parents=[shared], help="answer one question against a store")
     p_query.add_argument("--trace", default=None, help="write the trace JSON here instead of stdout")
     p_query.add_argument("question")
     p_query.set_defaults(func=cmd_query)
 
-    p_eval = sub.add_parser("eval", help="run a multiple-choice dataset and report accuracy")
-    p_eval.add_argument("--store", required=True)
+    p_eval = sub.add_parser("eval", parents=[shared],
+                            help="run a multiple-choice dataset and report accuracy")
     p_eval.add_argument("--dataset", required=True)
     p_eval.add_argument("--report", required=True)
-    p_eval.add_argument("--config", default=None)
-    p_eval.add_argument("--disable-agent", action="append", choices=list(SOURCES), default=[])
-    p_eval.add_argument("--no-decision", action="store_true")
     p_eval.set_defaults(func=cmd_eval)
 
     p_config = sub.add_parser("config", help="inspect configuration")

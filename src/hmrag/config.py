@@ -59,23 +59,18 @@ DEFAULTS["lightweight_chat.backend"] = "inherit"
 DEFAULTS["expert_chat.backend"] = "inherit"
 
 
-def _coerce(key: str, raw: str):
-    default = DEFAULTS[key]
-    if isinstance(default, bool):
-        if raw.lower() not in ("true", "false"):
-            raise ConfigError(f"{key} expects true/false, got {raw!r}")
-        return raw.lower() == "true"
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key} expects an integer, got {raw!r}") from exc
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"{key} expects a number, got {raw!r}") from exc
-    return raw
+_EXPECTED = {bool: "true/false", int: "an integer", float: "a number"}
+
+
+def _coerce(key: str, raw: str, lineno: int):
+    """`raw` as the type of the key's default; str(raw) is raw itself."""
+    kind = type(DEFAULTS[key])
+    try:
+        if kind is bool:
+            return {"true": True, "false": False}[raw.lower()]
+        return kind(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"config line {lineno}: {key} expects {_EXPECTED[kind]}, got {raw!r}") from None
 
 
 def parse_config_text(text: str) -> dict[str, object]:
@@ -90,7 +85,7 @@ def parse_config_text(text: str) -> dict[str, object]:
         key = key.strip()
         if key not in DEFAULTS:
             raise ConfigError(f"config line {lineno} sets unknown key {key!r}")
-        values[key] = _coerce(key, raw.strip())
+        values[key] = _coerce(key, raw.strip(), lineno)
     return values
 
 

@@ -3,8 +3,8 @@
 Backends are pluggable: HTTP clients speaking the common chat-completions
 and embeddings JSON wire formats over one transport (`post_with_retries`,
 which web search uses too), plus deterministic scripted doubles for tests
-and offline runs. Every chat request is sent with temperature 0 and top_p 1,
-so every call is reproducible given the same backend state.
+and offline runs. A chat call is one user turn sent with temperature 0 and
+top_p 1, so every call is reproducible given the same backend state.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .ingest import check_vector_entries
 
-_TURN_ROLES = ("system", "user", "assistant")
 _TEMPERATURE = 0.0
 _TOP_P = 1.0
 
@@ -49,14 +48,17 @@ class DecodingParams:
 
 @dataclass(frozen=True)
 class ChatTurn:
-    role: str
-    content: str
+    content: str  # the prompt: a chat call is this one user turn
 
     def __post_init__(self):
-        if self.role not in _TURN_ROLES:
-            raise ValueError(f"unknown chat role {self.role!r}")
-        if self.role == "user" and not self.content.strip():
-            raise ValueError("user turns must have non-empty content")
+        if not isinstance(self.content, str) or not self.content.strip():
+            raise ValueError("a chat turn's content must be non-blank text")
+
+
+def _prompt_of(turns) -> str:
+    if len(turns) != 1:
+        raise ValueError(f"a chat call is exactly one user turn, got {len(turns)}")
+    return turns[0].content
 
 
 @dataclass(frozen=True)
@@ -113,17 +115,10 @@ class CallLog:
             _open_calls.reset(token)
 
 
-def canonical_turn_key(turns) -> str:
-    """Stable hash of a turn list, used to key scripted responses."""
-    payload = [{"role": t.role, "content": t.content} for t in turns]
-    blob = json.dumps(payload, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 class ScriptedChatBackend:
-    """Exact-match chat double keyed on the canonical hash of the turns.
+    """Exact-match chat double: a prompt -> response mapping.
 
-    An unmatched turn list raises ScriptMismatchError: tests must fail
+    An unmatched prompt raises ScriptMismatchError: tests must fail
     loudly rather than silently receive a fallback answer. Install all
     entries before first use; the mapping is treated as immutable after.
     """
@@ -132,27 +127,32 @@ class ScriptedChatBackend:
         self._responses: dict[str, str] = {}
 
     def add(self, turns, response: str) -> "ScriptedChatBackend":
-        self._responses[canonical_turn_key(turns)] = response
+        self._responses[_prompt_of(turns)] = response
         return self
 
     @classmethod
     def from_file(cls, path) -> "ScriptedChatBackend":
+        """Load `[{"turns": [{"role": "user", "content": …}], "response": …}, …]`."""
         backend = cls()
         entries = json.loads(Path(path).read_text(encoding="utf-8"))
-        for entry in entries:
-            turns = [ChatTurn(t["role"], t["content"]) for t in entry["turns"]]
-            backend.add(turns, entry["response"])
+        if not isinstance(entries, list):
+            raise ValueError(f"chat fixture {path} must be a JSON list of entries")
+        for i, entry in enumerate(entries):
+            try:
+                (turn,) = entry["turns"]  # the gateway sends nothing else, so nothing else can match
+                if turn["role"] != "user" or not isinstance(entry["response"], str):
+                    raise ValueError("want one user turn and a text response")
+                backend.add([ChatTurn(turn["content"])], entry["response"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"bad chat fixture entry {i} in {path}: {exc!r}") from None
         return backend
 
     def complete(self, turns, params: DecodingParams) -> str:
-        key = canonical_turn_key(turns)
+        prompt = _prompt_of(turns)
         try:
-            return self._responses[key]
+            return self._responses[prompt]
         except KeyError:
-            preview = " / ".join(f"{t.role}: {t.content[:80]}" for t in turns)
-            raise ScriptMismatchError(
-                f"no scripted response for turns [{preview}] (hash {key[:12]})"
-            ) from None
+            raise ScriptMismatchError(f"no scripted response for prompt {prompt[:120]!r}") from None
 
 
 class HashingEmbeddingBackend:
@@ -196,7 +196,10 @@ class ScriptedCaptionBackend:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedCaptionBackend":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        mapping = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
+            raise ValueError(f"caption fixture {path} must be a JSON object of image_ref -> caption")
+        return cls(mapping)
 
     def caption(self, image_ref: str) -> str:
         try:
@@ -264,21 +267,21 @@ class _HTTPModelClient:
         except ValueError as exc:
             raise GatewayError(f"malformed JSON from {self.config.endpoint}: {exc}") from exc
 
-    def _chat_completion(self, messages: list[dict], params: DecodingParams) -> str:
+    def _chat_completion(self, content, max_tokens: int) -> str:
         data = self._post({
             "model": self.config.model_name,
-            "messages": messages,
+            "messages": [{"role": "user", "content": content}],
             "temperature": _TEMPERATURE,
             "top_p": _TOP_P,
-            "max_tokens": params.max_tokens,
+            "max_tokens": max_tokens,
         })
         try:
-            content = data["choices"][0]["message"]["content"]
+            reply = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"unexpected {self.kind} response shape: {exc}") from exc
-        if not isinstance(content, str):
-            raise GatewayError(f"{self.kind} response content is {type(content).__name__}, not text")
-        return content
+        if not isinstance(reply, str):
+            raise GatewayError(f"{self.kind} response content is {type(reply).__name__}, not text")
+        return reply
 
 
 class HTTPChatBackend(_HTTPModelClient):
@@ -287,7 +290,7 @@ class HTTPChatBackend(_HTTPModelClient):
     kind = "chat"
 
     def complete(self, turns, params: DecodingParams) -> str:
-        return self._chat_completion([{"role": t.role, "content": t.content} for t in turns], params)
+        return self._chat_completion(_prompt_of(turns), params.max_tokens)
 
 
 class HTTPEmbeddingBackend(_HTTPModelClient):
@@ -304,10 +307,6 @@ class HTTPEmbeddingBackend(_HTTPModelClient):
         if not np.isfinite(array).all():
             raise GatewayError("embedding response has non-finite values")
         return array
-
-
-_CAPTION_INSTRUCTION = "Describe this image in one or two sentences."
-_CAPTION_PARAMS = DecodingParams(max_tokens=256)
 
 
 class HTTPCaptionBackend(_HTTPModelClient):
@@ -327,10 +326,10 @@ class HTTPCaptionBackend(_HTTPModelClient):
 
     def caption(self, image_ref: str) -> str:
         content = [
-            {"type": "text", "text": _CAPTION_INSTRUCTION},
+            {"type": "text", "text": "Describe this image in one or two sentences."},
             {"type": "image_url", "image_url": {"url": self._resolve_image(image_ref)}},
         ]
-        return self._chat_completion([{"role": "user", "content": content}], _CAPTION_PARAMS)
+        return self._chat_completion(content, max_tokens=256)
 
 
 class ModelGateway:
@@ -364,7 +363,7 @@ class ModelGateway:
         """Send `prompt` as one user turn under pinned decoding; only the token cap varies."""
         if role not in self._chat_backends:
             raise ConfigError(f"unknown chat role {role!r}")
-        turns = [ChatTurn("user", prompt)]
+        turns = [ChatTurn(prompt)]
         params = DecodingParams(max_tokens=max_tokens)
         self.record_call("chat", role, prompt)
         return self._chat_backends[role].complete(turns, params)

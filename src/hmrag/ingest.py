@@ -34,6 +34,8 @@ class CorpusRecord:
     def __post_init__(self):
         if not self.id:
             raise ValueError("corpus record needs an id")
+        if not isinstance(self.text, str) or not isinstance(self.image_ref, (str, type(None))):
+            raise ValueError(f"record {self.id!r}: text and image_ref must be strings")
         if not self.text and not self.image_ref:
             raise ValueError(f"record {self.id!r} has neither text nor image_ref")
 
@@ -281,8 +283,8 @@ def load_corpus(path) -> list[CorpusRecord]:
 
 
 def caption_and_refine(record: CorpusRecord, gateway, templates: TemplateSet) -> FusedDocument:
-    """Fuse a record's text with a context-refined image caption."""
-    if record.image_ref is None:
+    """Fuse a record's text with a context-refined image caption; an empty image_ref is none."""
+    if not record.image_ref:
         return FusedDocument(record.id, record.text, caption=None, image_ref=None)
     raw_caption = gateway.caption_image(record.image_ref)
     prompt = templates.render("refine_caption", caption=raw_caption, text=record.text)

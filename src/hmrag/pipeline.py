@@ -94,9 +94,6 @@ class QueryTrace:
     calls: list = field(default_factory=list)
     timings: dict[str, float] = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def normalized(self) -> dict:
         """Comparison form: timing fields dropped, call order canonicalized.
 
@@ -110,8 +107,8 @@ class QueryTrace:
         data["calls"].sort(key=lambda c: (c["kind"], c["role"], c["detail"]))
         return data
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False, indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), ensure_ascii=False, indent=2, sort_keys=True)
 
 
 def _qa_blocks(prior: list[tuple[str, str]]) -> str:
@@ -268,7 +265,7 @@ def parse_eval_record(raw: dict) -> EvalRecord:
     if not isinstance(choices, list) or not choices or len(choices) > len(_CHOICE_LABELS):
         raise ValueError("record needs 1-5 choices")
     answer = raw.get("answer")
-    if not isinstance(answer, int) or not 0 <= answer < len(choices):
+    if type(answer) is not int or not 0 <= answer < len(choices):  # a bool is no index
         raise ValueError("answer index out of range")
     question = raw.get("question")
     if not question or not isinstance(question, str):

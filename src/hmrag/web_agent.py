@@ -105,7 +105,10 @@ class StubSearchClient:
 
     @classmethod
     def from_file(cls, path) -> "StubSearchClient":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        fixture = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(fixture, dict):  # each payload is checked when its query is searched
+            raise ValueError(f"search fixture {path} must be a JSON object of query -> response")
+        return cls(fixture)
 
     def search(self, query: str, cfg: SearchConfig) -> list[SearchResult]:
         if not query or not query.strip():

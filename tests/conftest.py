@@ -65,10 +65,10 @@ class CountingChatBackend:
 
 
 class EchoChatBackend:
-    """Echoes the last user turn, useful when the prompt itself is the assertion."""
+    """Echoes the prompt, useful when the prompt itself is the assertion."""
 
     def complete(self, turns, params):
-        return turns[-1].content
+        return turns[0].content
 
 
 class FlakyChatBackend:
@@ -116,7 +116,7 @@ def make_gateway(chat=None, embedding=None, caption=None, lightweight=None,
 
 
 def user_turns(content):
-    return [ChatTurn("user", content)]
+    return [ChatTurn(content)]
 
 
 def scripted(*entries):

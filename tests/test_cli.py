@@ -119,6 +119,44 @@ def test_eval_writes_report(world_dir, store_dir, tmp_path, capsys):
     assert report["correct"] == 4
 
 
+def test_ingest_reads_an_empty_image_ref_as_no_image(world_dir, tmp_path, capsys):
+    record = world_dir.records[1]
+    assert record.image_ref is None  # its extraction prompt is scripted for the bare text
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": record.id, "text": record.text, "image_ref": ""}) + "\n",
+                      encoding="utf-8")
+    code, out, err = run_cli([
+        "ingest", "--corpus", str(corpus), "--out", str(tmp_path / "store"),
+        "--config", str(world_dir.paths["config"]),
+    ], capsys)
+    assert code == 0, err
+    assert "ingested 1 documents" in out
+
+
+@pytest.mark.parametrize("command, key, fixture", [
+    ("query", "chat.fixture", [{"prompt": "x", "response": "y"}]),
+    ("query", "chat.fixture", [{"turns": [{"role": "system", "content": "x"}], "response": "y"}]),
+    ("query", "web.stub_fixture_path", [1]),
+    ("ingest", "caption.fixture", [1, 2]),
+    ("ingest", "caption.fixture", {"img/flag00.png": 5}),
+])
+def test_malformed_fixture_is_one_error_line_naming_it(
+        world_dir, store_dir, tmp_path, capsys, command, key, fixture):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture), encoding="utf-8")
+    config = tmp_path / "hmrag.conf"
+    config.write_text(world_dir.paths["config"].read_text(encoding="utf-8") + f"{key} = {path}\n",
+                      encoding="utf-8")
+    if command == "query":
+        args = ["query", "--store", str(store_dir), "anything?"]
+    else:
+        args = ["ingest", "--corpus", str(world_dir.paths["corpus"]), "--out", str(tmp_path / "s")]
+    code, out, err = run_cli(args + ["--config", str(config)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+
+
 def test_missing_store_is_reported(world_dir, tmp_path, capsys):
     code, out, err = run_cli([
         "query", "--store", str(tmp_path / "nostore"),

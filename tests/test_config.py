@@ -1,16 +1,46 @@
+import inspect
 import re
 
 import pytest
 
+from hmrag.cli import build_pipeline_config
 from hmrag.config import DEFAULTS, format_defaults, load_config, parse_config_text
 from hmrag.errors import ConfigError
+from hmrag.gateway import HashingEmbeddingBackend, ModelBackendConfig
+from hmrag.ingest import chunk_document
+from hmrag.pipeline import PipelineConfig
 from hmrag.templates import TemplateSet, render
+from hmrag.web_agent import SearchConfig, SerperSearchClient
 
 
 def test_defaults_cover_every_backend_role():
     for role in ("chat", "lightweight_chat", "expert_chat", "embedding", "caption"):
         for key in ("endpoint", "model_name", "timeout_s", "retries"):
             assert f"{role}.{key}" in DEFAULTS
+
+
+def test_cli_defaults_equal_the_library_defaults():
+    # each of these values is written twice: once in DEFAULTS, once as a parameter default
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    assert build_pipeline_config(dict(DEFAULTS)) == PipelineConfig()
+    pairs = {
+        "chunking.size": default(chunk_document, "chunk_size"),
+        "chunking.overlap": default(chunk_document, "overlap"),
+        "embedding.dim": default(HashingEmbeddingBackend, "dim"),
+        "embedding.seed": default(HashingEmbeddingBackend, "seed"),
+        "web.num_results": default(SearchConfig, "num_results"),
+        "web.language": default(SearchConfig, "language"),
+        "web.search_endpoint": default(SerperSearchClient, "endpoint"),
+        "web.api_key_env": default(SerperSearchClient, "api_key_env"),
+        "web.timeout_s": default(SerperSearchClient, "timeout_s"),
+        "web.retries": default(SerperSearchClient, "retries"),
+    }
+    for role in ("chat", "lightweight_chat", "expert_chat", "embedding", "caption"):
+        pairs[f"{role}.timeout_s"] = default(ModelBackendConfig, "timeout_s")
+        pairs[f"{role}.retries"] = default(ModelBackendConfig, "retries")
+    assert {key: DEFAULTS[key] for key in pairs} == pairs
 
 
 def test_parse_coerces_known_types():
@@ -37,6 +67,16 @@ def test_parse_rejects_bad_lines_and_values():
         parse_config_text("retrieval.top_k = many")
     with pytest.raises(ConfigError):
         parse_config_text("decision.enabled = maybe")
+
+
+@pytest.mark.parametrize("line, expected", [
+    ("retrieval.top_k = many", "retrieval.top_k expects an integer, got 'many'"),
+    ("graph.tau = high", "graph.tau expects a number, got 'high'"),
+    ("decision.enabled = maybe", "decision.enabled expects true/false, got 'maybe'"),
+])
+def test_value_of_the_wrong_type_names_its_line(line, expected):
+    with pytest.raises(ConfigError, match=f"^config line 2: {re.escape(expected)}$"):
+        parse_config_text(f"# c\n{line}\n")
 
 
 def test_unknown_keys_are_refused():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -43,8 +44,7 @@ def test_decoding_params_rejects_bad_values(kwargs):
 
 def test_chat_turn_requires_user_content():
     with pytest.raises(ValueError):
-        ChatTurn("user", "  ")
-    ChatTurn("assistant", "")  # assistant turns may be empty
+        ChatTurn("  ")
 
 
 def test_backend_config_validates_timeout():
@@ -133,14 +133,10 @@ def test_http_chat_wire_format(monkeypatch):
         endpoint="http://models.local/v1/chat/completions",
         model_name="small-chat", api_key_env="TEST_CHAT_KEY", timeout_s=12.5, retries=1,
     ))
-    turns = [ChatTurn("system", "be terse"), ChatTurn("user", "hi")]
-    out = backend.complete(turns, DecodingParams(max_tokens=64))
+    out = backend.complete(user_turns("hi"), DecodingParams(max_tokens=64))
 
     assert out == "hello"
-    assert captured["payload"]["messages"] == [
-        {"role": "system", "content": "be terse"},
-        {"role": "user", "content": "hi"},
-    ]
+    assert captured["payload"]["messages"] == [{"role": "user", "content": "hi"}]
     assert captured["payload"]["temperature"] == 0.0
     assert captured["payload"]["top_p"] == 1.0
     assert captured["payload"]["max_tokens"] == 64
@@ -369,6 +365,64 @@ def test_scripted_chat_from_file(tmp_path):
     backend = ScriptedChatBackend.from_file(path)
     gateway = make_gateway(chat=backend)
     assert gateway.complete_chat("ping") == "pong"
+
+
+def test_chat_turn_is_its_content_alone():
+    assert [f.name for f in dataclasses.fields(ChatTurn)] == ["content"]
+
+
+_GOOD_TURN = {"role": "user", "content": "ping"}
+
+
+@pytest.mark.parametrize("entry", [
+    {"response": "pong"},                                                       # no turns
+    {"turns": [_GOOD_TURN]},                                                    # no response
+    {"turns": [{"content": "ping"}], "response": "pong"},                       # no role
+    {"turns": [{"role": "user"}], "response": "pong"},                          # no content
+    {"turns": [], "response": "pong"},                                          # zero turns
+    {"turns": [{"role": "system", "content": "be terse"}, _GOOD_TURN], "response": "pong"},
+    {"turns": [{"role": "assistant", "content": "ping"}], "response": "pong"},
+    {"turns": [{"role": "system", "content": "ping"}], "response": "pong"},
+    {"turns": [{"role": "user", "content": 5}], "response": "pong"},
+    {"turns": [{"role": "user", "content": "  "}], "response": "pong"},
+    {"turns": [_GOOD_TURN], "response": 5},
+    {"turns": _GOOD_TURN, "response": "pong"},                                  # not a list
+    ["ping", "pong"],
+])
+def test_scripted_chat_from_file_refuses_entries_the_gateway_cannot_send(tmp_path, entry):
+    path = tmp_path / "chat.json"
+    path.write_text(json.dumps([{"turns": [_GOOD_TURN], "response": "pong"}, entry]),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"bad chat fixture entry 1 in .*chat\.json"):
+        ScriptedChatBackend.from_file(path)
+
+
+def test_scripted_chat_from_file_refuses_a_fixture_that_is_not_a_list(tmp_path):
+    path = tmp_path / "chat.json"
+    path.write_text("5", encoding="utf-8")
+    with pytest.raises(ValueError, match=r"chat fixture .*chat\.json"):
+        ScriptedChatBackend.from_file(path)
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_chat_backends_refuse_anything_but_one_turn(monkeypatch, count):
+    def fail_post(*args, **kwargs):
+        raise AssertionError("requests.post must not be called")
+
+    monkeypatch.setattr(gateway_mod.requests, "post", fail_post)
+    turns = [ChatTurn(f"turn {i}") for i in range(count)]
+    with pytest.raises(ValueError, match="exactly one user turn"):
+        HTTPChatBackend(ModelBackendConfig(endpoint="http://x")).complete(turns, DecodingParams())
+    with pytest.raises(ValueError, match="exactly one user turn"):
+        ScriptedChatBackend().complete(turns, DecodingParams())
+    with pytest.raises(ValueError, match="exactly one user turn"):
+        ScriptedChatBackend().add(turns, "x")
+
+
+def test_scripted_chat_miss_names_the_prompt():
+    backend = ScriptedChatBackend().add(user_turns("a"), "x")
+    with pytest.raises(ScriptMismatchError, match="'what is basalt\\?'"):
+        backend.complete(user_turns("what is basalt?"), DecodingParams())
 
 
 _MODEL_CONFIG = ModelBackendConfig(endpoint="http://models.local")

@@ -271,6 +271,19 @@ def test_load_corpus_reads_jsonl(tmp_path):
     assert records[1].image_ref == "img/b.png"
 
 
+@pytest.mark.parametrize("line", [
+    {"id": "a", "text": "t", "image_ref": 5},
+    {"id": "a", "image_ref": ["img/a.png"]},
+    {"id": "a", "text": 5},
+])
+def test_load_corpus_refuses_text_or_image_ref_that_is_not_a_string(tmp_path, line):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"id": "ok", "text": "fine"}) + "\n" + json.dumps(line) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"bad corpus record at {re.escape(str(path))} line 2"):
+        load_corpus(path)
+
+
 def test_load_corpus_reports_bad_line(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "x"}\nnot json\n', encoding="utf-8")

@@ -691,6 +691,17 @@ def test_run_eval_skips_lines_that_are_not_objects(tmp_path, small_world):
     assert report["skipped"] == 2
 
 
+def test_run_eval_skips_an_answer_that_is_a_bool(tmp_path, small_world):
+    line = {"question": "q", "choices": ["a", "b"], "answer": True}
+    with pytest.raises(ValueError, match="answer index"):
+        parse_eval_record(line)
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    report = run_eval(small_world.make_pipeline(), dataset)
+    assert report["total"] == 0
+    assert report["skipped"] == 1
+
+
 def test_eval_question_includes_context_fields():
     record = parse_eval_record({
         "id": "x", "question": "Which rock?", "choices": ["a", "b"], "answer": 0,

@@ -18,7 +18,6 @@ from hmrag.gateway import (
     ModelGateway,
     ScriptedCaptionBackend,
     ScriptedChatBackend,
-    canonical_turn_key,
 )
 from hmrag.decision import format_answers, AnswerCandidate
 from hmrag.graph_agent import (
@@ -75,32 +74,27 @@ def city(i):
 
 
 class ScriptBook:
-    """Collects (turns, response) entries, refusing conflicting rebinds."""
+    """Collects prompt -> response entries, refusing conflicting rebinds."""
 
     def __init__(self):
-        self.entries = []
-        self._seen = {}
+        self.entries = {}
 
     def add(self, prompt, response):
-        turns = [ChatTurn("user", prompt)]
-        key = canonical_turn_key(turns)
-        if key in self._seen:
-            assert self._seen[key] == response, f"conflicting script for prompt: {prompt[:80]}"
+        if prompt in self.entries:
+            assert self.entries[prompt] == response, f"conflicting script for prompt: {prompt[:80]}"
             return
-        self._seen[key] = response
-        self.entries.append((turns, response))
+        self.entries[prompt] = response
 
     def backend(self):
         scripted = ScriptedChatBackend()
-        for turns, response in self.entries:
-            scripted.add(turns, response)
+        for prompt, response in self.entries.items():
+            scripted.add([ChatTurn(prompt)], response)
         return scripted
 
     def to_json(self):
         return [
-            {"turns": [{"role": t.role, "content": t.content} for t in turns],
-             "response": response}
-            for turns, response in self.entries
+            {"turns": [{"role": "user", "content": prompt}], "response": response}
+            for prompt, response in self.entries.items()
         ]
 
 
