@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import config as config_mod
@@ -172,6 +173,8 @@ def cmd_ingest(args) -> int:
     if not records:
         print("corpus is empty", file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)  # before the first model call, like eval's report
     docs = [caption_and_refine(record, gateway, templates) for record in records]
     chunks = []
     for doc in docs:
@@ -179,8 +182,6 @@ def cmd_ingest(args) -> int:
     index = build_index(chunks, gateway)
     warnings: list[str] = []
     graph = extract_graph(docs, gateway, templates, warnings)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     index.save(out_dir / INDEX_FILENAME)
     graph.save(out_dir / GRAPH_FILENAME)
     print(f"ingested {len(docs)} documents: {len(index)} chunks, "
@@ -192,12 +193,12 @@ def cmd_ingest(args) -> int:
 
 def cmd_query(args) -> int:
     pipeline = _make_pipeline(args)
-    trace = pipeline.run_query(args.question)
+    # a trace file is opened before the query, so an unwritable path costs no model call
+    with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext(sys.stdout) as out:
+        trace = pipeline.run_query(args.question)
+        print(trace.to_json(), file=out)
     if args.trace:
-        Path(args.trace).write_text(trace.to_json() + "\n", encoding="utf-8")
         print(trace.final_answer)
-    else:
-        print(trace.to_json())
     return 0
 
 

@@ -115,6 +115,17 @@ class CallLog:
             _open_calls.reset(token)
 
 
+def load_fixture(path, what: str, valid, wanted: str):
+    """The JSON value in fixture file `path` if `valid(value)`, else a ValueError naming it."""
+    try:
+        value = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{what} fixture {path} is not JSON: {exc}") from None
+    if not valid(value):
+        raise ValueError(f"{what} fixture {path} must be {wanted}")
+    return value
+
+
 class ScriptedChatBackend:
     """Exact-match chat double: a prompt -> response mapping.
 
@@ -134,9 +145,7 @@ class ScriptedChatBackend:
     def from_file(cls, path) -> "ScriptedChatBackend":
         """Load `[{"turns": [{"role": "user", "content": …}], "response": …}, …]`."""
         backend = cls()
-        entries = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(entries, list):
-            raise ValueError(f"chat fixture {path} must be a JSON list of entries")
+        entries = load_fixture(path, "chat", lambda v: isinstance(v, list), "a JSON list of entries")
         for i, entry in enumerate(entries):
             try:
                 (turn,) = entry["turns"]  # the gateway sends nothing else, so nothing else can match
@@ -196,10 +205,9 @@ class ScriptedCaptionBackend:
 
     @classmethod
     def from_file(cls, path) -> "ScriptedCaptionBackend":
-        mapping = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
-            raise ValueError(f"caption fixture {path} must be a JSON object of image_ref -> caption")
-        return cls(mapping)
+        def valid(v):
+            return isinstance(v, dict) and all(isinstance(c, str) for c in v.values())
+        return cls(load_fixture(path, "caption", valid, "a JSON object of image_ref -> caption"))
 
     def caption(self, image_ref: str) -> str:
         try:

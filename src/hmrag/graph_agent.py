@@ -117,14 +117,11 @@ def retrieve_subgraph(keywords: KeywordSet, graph: KnowledgeGraph, tau: float, e
 def expand_one_hop(sub: Subgraph, graph: KnowledgeGraph) -> Subgraph:
     """Grow the subgraph by the immediate neighborhood of its members.
 
-    Retrieved nodes are the seeds plus every endpoint of a retrieved
-    triplet; every graph triplet incident to a retrieved node is added,
-    and its endpoints join the entity set.
+    Retrieved nodes are `sub.expanded_entities`: the seeds plus every endpoint
+    of a retrieved triplet, as `retrieve_subgraph` builds it. Every graph
+    triplet incident to one is added, and its endpoints join the entity set.
     """
-    base = set(sub.seed_entities)
-    for head, _, tail in sub.triplets:
-        base.add(head)
-        base.add(tail)
+    base = sub.expanded_entities
     expanded = set(base)
     triplets: dict[tuple[str, str, str], None] = dict.fromkeys(sub.triplets)
     for triplet in graph.triplets:
@@ -141,11 +138,9 @@ def expand_one_hop(sub: Subgraph, graph: KnowledgeGraph) -> Subgraph:
 
 
 def serialize_subgraph(sub: Subgraph, graph: KnowledgeGraph) -> list[str]:
-    """Triplet lines plus entity descriptions and visual locations."""
+    """Triplet lines plus the description and visual location of each entity."""
     lines = [f"{head} —{relation}→ {tail}" for head, relation, tail in sub.triplets]
     for name in sorted(sub.expanded_entities, key=str.casefold):
-        if not graph.has_entity(name):
-            continue
         entity = graph.get_entity(name)
         line = f"{entity.name}: {entity.description}" if entity.description else f"{entity.name}:"
         if entity.visual_location:

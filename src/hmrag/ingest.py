@@ -67,7 +67,7 @@ class Chunk:
             raise ValueError(f"chunk {self.chunk_id!r} has empty text")
 
 
-IndexRecord = namedtuple("IndexRecord", ["chunk_id", "vector", "text"])
+IndexRecord = namedtuple("IndexRecord", ["chunk_id", "text"])
 
 
 def check_embedding(vector, dim: int) -> np.ndarray:
@@ -116,7 +116,7 @@ class EmbeddingIndex:
         )
 
     def record(self, i: int) -> IndexRecord:
-        return IndexRecord(self.chunk_ids[i], self.matrix[i], self.texts[i])
+        return IndexRecord(self.chunk_ids[i], self.texts[i])
 
     def save(self, path) -> None:
         lines = [json.dumps({"dim": self.dim, "count": len(self)}, ensure_ascii=False)]
@@ -131,14 +131,21 @@ class EmbeddingIndex:
 
     @classmethod
     def load(cls, path) -> "EmbeddingIndex":
+        first_line_of = {}  # chunk_id -> the line that holds it
+
         def parse(lineno, rec):
             if lineno == 1:
                 return int(rec["dim"]), int(rec["count"])
-            return rec["chunk_id"], rec["text"], check_vector_entries(rec["vector"]), lineno
+            chunk_id, text = rec["chunk_id"], rec["text"]
+            if type(chunk_id) is not str or type(text) is not str:
+                raise TypeError("chunk_id and text must be strings")
+            if first_line_of.setdefault(chunk_id, lineno) != lineno:
+                raise ValueError(f"chunk_id {chunk_id!r} repeats line {first_line_of[chunk_id]}")
+            return chunk_id, text, check_vector_entries(rec["vector"]), lineno
 
         lines = _read_jsonl(path, "index record", parse)
-        if not lines or len(lines[0]) != 2:
-            raise ValueError(f"{path} does not start with an index header")
+        if not lines or len(lines[0]) != 2 or lines[0][0] < 1:
+            raise ValueError(f"{path} does not start with an index header of positive dim")
         (dim, count), records = lines[0], lines[1:]
         chunk_ids, texts, rows, linenos = zip(*records) if records else ((), (), (), ())
         for row, lineno in zip(rows, linenos):
@@ -146,7 +153,7 @@ class EmbeddingIndex:
                 raise ValueError(f"bad index record at {path} line {lineno}: "
                                  f"vector has {len(row)} entries, header dim is {dim}")
         if len(records) != count:
-            raise ValueError(f"index header says {count} records, file has {len(records)}")
+            raise ValueError(f"{path}: index header says {count} records, file has {len(records)}")
         try:
             matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
         except OverflowError as exc:

@@ -318,10 +318,7 @@ def run_eval(pipeline: Pipeline, dataset_path, keep_traces: bool = False) -> dic
     Malformed records are skipped and counted; per-tag accuracy is
     reported whenever records carry tags.
     """
-    total = 0
-    correct = 0
     skipped = 0
-    errors = 0
     per_tag: dict[str, dict[str, int]] = {}
     rows = []
     traces = []
@@ -334,7 +331,6 @@ def run_eval(pipeline: Pipeline, dataset_path, keep_traces: bool = False) -> dic
             logger.warning("skipping malformed eval record at line %d: %s", lineno, exc)
             skipped += 1
             continue
-        total += 1
         predicted = None
         error_text = ""
         try:
@@ -343,10 +339,8 @@ def run_eval(pipeline: Pipeline, dataset_path, keep_traces: bool = False) -> dic
                 traces.append(trace)
             predicted = extract_choice(trace.final_answer, record.choices)
         except PipelineError as exc:
-            errors += 1
             error_text = str(exc)
         is_correct = predicted == record.answer
-        correct += int(is_correct)
         for tag in record.tags:
             bucket = per_tag.setdefault(tag, {"total": 0, "correct": 0})
             bucket["total"] += 1
@@ -355,12 +349,13 @@ def run_eval(pipeline: Pipeline, dataset_path, keep_traces: bool = False) -> dic
             "id": record.id, "predicted": predicted, "answer": record.answer,
             "correct": is_correct, "error": error_text,
         })
+    correct = sum(row["correct"] for row in rows)
     report = {
-        "total": total,
+        "total": len(rows),
         "correct": correct,
-        "accuracy": correct / total if total else 0.0,
+        "accuracy": correct / len(rows) if rows else 0.0,
         "skipped": skipped,
-        "errors": errors,
+        "errors": sum(bool(row["error"]) for row in rows),
         "per_tag": {
             tag: {
                 "total": bucket["total"],

@@ -33,11 +33,8 @@ class ScoredChunk:
 class RetrievalResult:
     query: str
     top: tuple[ScoredChunk, ...]
-    k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
         scores = [s.score for s in self.top]
         if any(a < b for a, b in zip(scores, scores[1:])):
             raise ValueError("top list must be sorted by non-increasing score")
@@ -72,7 +69,7 @@ def top_k_by_vector(query: str, query_vec: np.ndarray, index: EmbeddingIndex, k:
     id_rank[np.argsort(np.array(index.chunk_ids, dtype=object), kind="stable")] = np.arange(len(index))
     order = np.lexsort((id_rank, -scores))
     top = tuple(ScoredChunk(index.record(i), float(scores[i])) for i in order[:k])
-    return RetrievalResult(query=query, top=top, k=k)
+    return RetrievalResult(query=query, top=top)
 
 
 def build_prompt(query: str, chunk_texts, header: str) -> str:

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import requests  # unused here, but tests patch it on this module to forbid network access
 
 from .decision import AnswerCandidate, run_agent
 from .errors import ScriptMismatchError, SearchParseError
-from .gateway import ModelBackendConfig, json_headers, post_with_retries
+from .gateway import ModelBackendConfig, json_headers, load_fixture, post_with_retries
 from .templates import TemplateSet
 
 DEFAULT_SEARCH_ENDPOINT = "https://google.serper.dev/search"
@@ -105,10 +104,9 @@ class StubSearchClient:
 
     @classmethod
     def from_file(cls, path) -> "StubSearchClient":
-        fixture = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(fixture, dict):  # each payload is checked when its query is searched
-            raise ValueError(f"search fixture {path} must be a JSON object of query -> response")
-        return cls(fixture)
+        # each payload is checked when its query is searched
+        return cls(load_fixture(path, "search", lambda v: isinstance(v, dict),
+                                "a JSON object of query -> response"))
 
     def search(self, query: str, cfg: SearchConfig) -> list[SearchResult]:
         if not query or not query.strip():

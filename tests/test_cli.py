@@ -4,10 +4,16 @@ import shutil
 import pytest
 
 import hmrag.cli as cli_mod
+import hmrag.gateway as gateway_mod
 from hmrag.cli import main
-from hmrag.gateway import HashingEmbeddingBackend, ScriptedChatBackend
+from hmrag.config import DEFAULTS
+from hmrag.errors import BackendUnavailableError, ConfigError
+from hmrag.gateway import HashingEmbeddingBackend, ScriptedCaptionBackend, ScriptedChatBackend
 from hmrag.pipeline import format_eval_question
+from hmrag.templates import TemplateSet
+from hmrag.web_agent import SearchConfig
 
+from conftest import FakeResponse
 from world import build_world
 
 
@@ -247,3 +253,186 @@ def test_retired_config_key_stops_query_before_any_backend_call(
     assert code == 1
     key = line.partition(" =")[0]
     assert err == f"error: config line {lineno} sets unknown key '{key}'\n"
+
+
+def test_null_text_in_the_index_is_one_error_line_naming_it(world_dir, store_dir, tmp_path, capsys):
+    store = tmp_path / "copy"
+    shutil.copytree(store_dir, store)
+    path = store / "index.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps(dict(json.loads(lines[1]), text=None))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, _, err = run_cli([
+        "query", "--store", str(store), "--config", str(world_dir.paths["config"]), "anything?",
+    ], capsys)
+    assert code == 1
+    assert err.startswith(f"error: bad index record at {path} line 2: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, key", [
+    ("query", "chat.fixture"),
+    ("query", "web.stub_fixture_path"),
+    ("ingest", "caption.fixture"),
+])
+def test_fixture_that_is_not_json_is_one_error_line_naming_it(
+        world_dir, store_dir, tmp_path, capsys, command, key):
+    path = tmp_path / "fixture.json"
+    path.write_text("{not json", encoding="utf-8")
+    config = tmp_path / "hmrag.conf"
+    config.write_text(world_dir.paths["config"].read_text(encoding="utf-8") + f"{key} = {path}\n",
+                      encoding="utf-8")
+    if command == "query":
+        args = ["query", "--store", str(store_dir), "anything?"]
+    else:
+        args = ["ingest", "--corpus", str(world_dir.paths["corpus"]), "--out", str(tmp_path / "s")]
+    code, out, err = run_cli(args + ["--config", str(config)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"fixture {path} is not JSON" in err
+
+
+@pytest.fixture()
+def backend_calls(monkeypatch):
+    """Counts every chat, embedding and caption call of the scripted backends."""
+    calls = []
+
+    def counting(cls, name):
+        inner = getattr(cls, name)
+
+        def call(self, *args):
+            calls.append(name)
+            return inner(self, *args)
+        monkeypatch.setattr(cls, name, call)
+
+    counting(ScriptedChatBackend, "complete")
+    counting(HashingEmbeddingBackend, "embed")
+    counting(ScriptedCaptionBackend, "caption")
+    return calls
+
+
+def test_unwritable_query_trace_fails_before_any_backend_call(
+        world_dir, store_dir, tmp_path, capsys, backend_calls):
+    record = world_dir.eval_records[0]
+    code, out, err = run_cli([
+        "query", "--store", str(store_dir), "--config", str(world_dir.paths["config"]),
+        "--trace", str(tmp_path / "nodir" / "t.json"), format_eval_question(record),
+    ], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nodir" in err
+    assert backend_calls == []
+
+
+def test_ingest_out_under_a_file_fails_before_any_backend_call(
+        world_dir, tmp_path, capsys, backend_calls):
+    blocker = tmp_path / "afile"
+    blocker.write_text("", encoding="utf-8")
+    code, out, err = run_cli([
+        "ingest", "--corpus", str(world_dir.paths["corpus"]),
+        "--out", str(blocker / "store"), "--config", str(world_dir.paths["config"]),
+    ], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "afile" in err
+    assert backend_calls == []
+
+
+_HTTP_ROLES = ("chat", "lightweight_chat", "expert_chat", "embedding", "caption")
+
+
+@pytest.fixture()
+def http_cfg(monkeypatch):
+    """Every role, and web search, on the http backend with its own endpoint, model and key."""
+    cfg = dict(DEFAULTS)
+    for role in _HTTP_ROLES:
+        cfg.update({f"{role}.backend": "http", f"{role}.endpoint": f"https://{role}.test/v1",
+                    f"{role}.model_name": f"{role}-model", f"{role}.api_key_env": f"KEY_{role}"})
+        monkeypatch.setenv(f"KEY_{role}", f"secret-{role}")
+    cfg.update({"web.backend": "http", "web.search_endpoint": "https://web.test/search",
+                "web.api_key_env": "KEY_web"})
+    monkeypatch.setenv("KEY_web", "secret-web")
+    return cfg
+
+
+def test_http_backends_reach_their_own_endpoints(http_cfg, monkeypatch):
+    posts = []
+
+    def fake_post(url, **kwargs):
+        key = {k: v for k, v in kwargs["headers"].items() if k != "Content-Type"}
+        posts.append((url, kwargs["json"].get("model"), key))
+        return FakeResponse({"choices": [{"message": {"content": "ok"}}],
+                             "data": [{"embedding": [1.0, 0.0]}], "organic": []})
+
+    monkeypatch.setattr(gateway_mod.requests, "post", fake_post)
+    gateway = cli_mod.build_gateway(http_cfg)
+    for role in ("chat", "lightweight_chat", "expert_chat"):
+        assert gateway.complete_chat("ping", role=role) == "ok"
+    assert gateway.embed_text("ping").tolist() == [1.0, 0.0]
+    assert gateway.caption_image("https://img.test/a.png") == "ok"
+    assert cli_mod.build_web_client(http_cfg).search("ping", SearchConfig()) == []
+    assert posts == [
+        (f"https://{role}.test/v1", f"{role}-model", {"Authorization": f"Bearer secret-{role}"})
+        for role in _HTTP_ROLES
+    ] + [("https://web.test/search", None, {"X-API-KEY": "secret-web"})]
+
+
+def test_http_caption_without_endpoint_leaves_no_caption_backend(http_cfg):
+    http_cfg["caption.endpoint"] = ""
+    with pytest.raises(ConfigError, match="no caption backend configured"):
+        cli_mod.build_gateway(http_cfg).caption_image("https://img.test/a.png")
+
+
+@pytest.mark.parametrize("key", [f"{role}.backend" for role in _HTTP_ROLES] + ["web.backend"])
+def test_unknown_backend_is_a_config_error(http_cfg, key):
+    http_cfg[key] = "carrier-pigeon"
+    build = cli_mod.build_web_client if key == "web.backend" else cli_mod.build_gateway
+    with pytest.raises(ConfigError, match=f"unknown {key} 'carrier-pigeon'"):
+        build(http_cfg)
+
+
+def test_ingest_of_an_empty_corpus_exits_2(world_dir, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("\n", encoding="utf-8")
+    code, out, err = run_cli([
+        "ingest", "--corpus", str(corpus), "--out", str(tmp_path / "store"),
+        "--config", str(world_dir.paths["config"]),
+    ], capsys)
+    assert code == 2
+    assert err == "corpus is empty\n"
+    assert not (tmp_path / "store").exists()
+
+
+def test_ingest_prints_extraction_warnings(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "d1", "text": "plain words"}) + "\n", encoding="utf-8")
+    prompt = TemplateSet().render("extract_graph", text="plain words")
+    chat = tmp_path / "chat.json"
+    chat.write_text(json.dumps([{"turns": [{"role": "user", "content": prompt}],
+                                 "response": "nothing to extract"}]), encoding="utf-8")
+    config = tmp_path / "hmrag.conf"
+    config.write_text(f"chat.backend = scripted\nchat.fixture = {chat}\n"
+                      "embedding.backend = scripted\ncaption.backend = scripted\n", encoding="utf-8")
+    code, out, err = run_cli([
+        "ingest", "--corpus", str(corpus), "--out", str(tmp_path / "store"), "--config", str(config),
+    ], capsys)
+    assert code == 0
+    assert "ingested 1 documents: 1 chunks, 0 entities, 0 triplets" in out
+    assert err == ("warning: extraction produced no parseable lines for document 'd1'; skipped\n")
+
+
+def test_pipeline_error_prints_its_trace(world_dir, store_dir, capsys, monkeypatch):
+    def down(self, text):
+        raise BackendUnavailableError("embedding down")
+
+    monkeypatch.setattr(HashingEmbeddingBackend, "embed", down)
+    question = format_eval_question(world_dir.eval_records[0])
+    code, out, err = run_cli([
+        "query", "--store", str(store_dir), "--config", str(world_dir.paths["config"]),
+        "--disable-agent", "graph", "--disable-agent", "web", question,
+    ], capsys)
+    assert code == 1
+    first, _, rest = err.partition("\n")
+    assert first == "error: no available answer candidates to decide over"
+    trace = json.loads(rest)
+    assert trace["question"] == question
+    assert any("embedding down" in w for e in trace["entries"] for w in e["warnings"])

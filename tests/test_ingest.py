@@ -173,6 +173,30 @@ def test_index_load_rejects_an_integer_beyond_float_range(tmp_path):
         EmbeddingIndex.load(path)
 
 
+
+@pytest.mark.parametrize("records, lineno, error", [
+    ([{"chunk_id": "a", "text": None}], 2, "chunk_id and text must be strings"),
+    ([{"chunk_id": "a", "text": "t"}, {"chunk_id": 1, "text": "t"}], 3,
+     "chunk_id and text must be strings"),
+    ([{"chunk_id": "a", "text": "t"}, {"chunk_id": "b", "text": "t"}, {"chunk_id": "a", "text": "u"}],
+     4, "chunk_id 'a' repeats line 2"),
+], ids=["null_text", "int_chunk_id", "duplicate_chunk_id"])
+def test_index_load_names_the_line_of_a_bad_id_or_text(tmp_path, records, lineno, error):
+    path = tmp_path / "index.jsonl"
+    lines = [{"dim": 2, "count": len(records)}] + [dict(r, vector=[1.0, 0.0]) for r in records]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"bad index record at {re.escape(str(path))} line {lineno}: "
+                                         f".*{re.escape(error)}"):
+        EmbeddingIndex.load(path)
+
+
+def test_index_load_names_the_file_of_a_header_without_positive_dim(tmp_path):
+    path = tmp_path / "index.jsonl"
+    path.write_text(json.dumps({"dim": 0, "count": 0}) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} does not start with an index "
+                                         "header of positive dim"):
+        EmbeddingIndex.load(path)
+
 def test_parse_extraction_lines():
     response = "ENTITY|sun|star\nENTITY|earth|planet\nREL|earth|orbits|sun\nnoise line"
     entities, triplets = parse_extraction_response(response)

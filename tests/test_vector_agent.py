@@ -163,7 +163,7 @@ def test_answer_rejects_empty_top():
     agent = VectorAgent(make_gateway(), index, templates=TEMPLATES)
     from hmrag.vector_agent import RetrievalResult
     with pytest.raises(ValueError):
-        agent.answer("q", RetrievalResult(query="q", top=(), k=1))
+        agent.answer("q", RetrievalResult(query="q", top=()))
 
 
 def test_backend_failure_yields_unavailable_candidate(hashing_backend):
