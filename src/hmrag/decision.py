@@ -1,10 +1,11 @@
 """Arbitration of the retrieval agents' answers.
 
-Each available answer is summarized, pairwise agreement is scored with
-an LCS-overlap metric and a clipped n-gram precision metric, and the
-fused mean decides the route: agreeing answers are merged by the
-lightweight model, conflicting ones go to the expert model with full
-evidence attached.
+Each distinct available answer text is summarized once, all texts in
+one concurrent round; pairwise agreement is scored with an LCS-overlap
+metric and a clipped n-gram precision metric, and the fused mean
+decides the route: agreeing answers are merged by the lightweight
+model, conflicting ones go to the expert model with full evidence
+attached.
 
 Metric conventions, fixed for reproducibility:
   - tokenization case-folds and splits on whitespace and punctuation;
@@ -19,6 +20,8 @@ Metric conventions, fixed for reproducibility:
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextvars
 import itertools
 import logging
 import math
@@ -207,6 +210,50 @@ class DecisionAgent:
             return replace(candidate, available=False)
         return replace(candidate, summary=summary)
 
+    def _summarize_distinct(self, candidates, warnings: list[str] | None
+                            ) -> list[AnswerCandidate]:
+        """Summarize once each distinct text of the candidates still lacking a
+        summary, all texts in one concurrent round, and give each summary to every
+        candidate with that text. Decoding is pinned, so a repeated prompt could
+        only repeat the summary.
+
+        A failed summary marks every sharer unavailable with its own warning;
+        the warnings follow in candidate order once the round has ended.
+        """
+        firsts: dict[str, AnswerCandidate] = {}  # text -> first candidate needing it
+        for c in candidates:
+            if c.available and c.summary is None:
+                firsts.setdefault(c.text, c)
+        failures = {text: [] for text in firsts}
+        if len(firsts) < 2:
+            done = {text: self.summarize(c, failures[text]) for text, c in firsts.items()}
+        else:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=min(len(firsts), 3)) as pool:
+                # each task runs in a copy of the query's context, so its call
+                # lands in this query's call list
+                futures = {text: pool.submit(contextvars.copy_context().run,
+                                             self.summarize, c, failures[text])
+                           for text, c in firsts.items()}
+            done = {text: future.result() for text, future in futures.items()}
+
+        worked = []
+        for c in candidates:
+            summarized = done.get(c.text) if c.available and c.summary is None else None
+            if summarized is None:
+                worked.append(c)
+            elif summarized.available:
+                worked.append(replace(c, summary=summarized.summary))
+            else:
+                worked.append(replace(c, available=False))
+                # summarize already logged the first sharer's warning
+                first, (message,) = firsts[c.text], failures[c.text]
+                if c is first:
+                    if warnings is not None:
+                        warnings.append(message)
+                else:
+                    trace_warning(warnings, c.source + message[len(first.source):])
+        return worked
+
     def _refine(self, query: str, candidates, route: str) -> str:
         if route == ROUTE_LIGHTWEIGHT:
             prompt = self._templates.render(
@@ -236,10 +283,7 @@ class DecisionAgent:
             raise PipelineError("no available answer candidates to decide over")
 
         if sum(c.available for c in worked) >= 2:
-            worked = [
-                self.summarize(c, warnings) if c.available and c.summary is None else c
-                for c in worked
-            ]
+            worked = self._summarize_distinct(worked, warnings)
         available = [c for c in worked if c.available]
         if not available:
             raise PipelineError("all candidates became unavailable during summarization")

@@ -72,7 +72,9 @@ def _max_relevance(texts: list[str], keyword_vectors: list[np.ndarray], embed) -
     if not texts or not keyword_vectors:
         return np.zeros(len(texts), dtype=np.float64)
     dim = np.size(keyword_vectors[0])
-    matrix = np.vstack([check_embedding(embed(text), dim) for text in texts])
+    matrix = np.empty((len(texts), dim), dtype=np.float64)
+    for row, text in enumerate(texts):
+        matrix[row] = check_embedding(embed(text), dim)
     best = np.full(len(texts), -np.inf, dtype=np.float64)
     for vector in keyword_vectors:
         best = np.maximum(best, cosine_scores(check_embedding(vector, dim), matrix))

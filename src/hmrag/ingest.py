@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 from collections import namedtuple
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -119,23 +118,24 @@ class EmbeddingIndex:
         return IndexRecord(self.chunk_ids[i], self.texts[i])
 
     def save(self, path) -> None:
-        lines = [json.dumps({"dim": self.dim, "count": len(self)}, ensure_ascii=False)]
-        for i in range(len(self)):
-            lines.append(json.dumps(
-                {"chunk_id": self.chunk_ids[i],
-                 "vector": self.matrix[i].tolist(),
-                 "text": self.texts[i]},
-                ensure_ascii=False,
-            ))
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_line(fh, {"dim": self.dim, "count": len(self)})
+            for chunk_id, row, text in zip(self.chunk_ids, self.matrix, self.texts):
+                _write_line(fh, {"chunk_id": chunk_id, "vector": row.tolist(), "text": text})
 
     @classmethod
     def load(cls, path) -> "EmbeddingIndex":
         first_line_of = {}  # chunk_id -> the line that holds it
+        header_read = False
 
         def parse(lineno, rec):
-            if lineno == 1:
-                return int(rec["dim"]), int(rec["count"])
+            nonlocal header_read
+            if not header_read:  # the first non-blank line
+                header_read = True
+                dim, count = rec["dim"], rec["count"]
+                if type(dim) is not int or type(count) is not int:  # a bool is no count
+                    raise TypeError(f"header dim and count must be integers: {dim!r}, {count!r}")
+                return dim, count
             chunk_id, text = rec["chunk_id"], rec["text"]
             if type(chunk_id) is not str or type(text) is not str:
                 raise TypeError("chunk_id and text must be strings")
@@ -144,7 +144,7 @@ class EmbeddingIndex:
             return chunk_id, text, check_vector_entries(rec["vector"]), lineno
 
         lines = _read_jsonl(path, "index record", parse)
-        if not lines or len(lines[0]) != 2 or lines[0][0] < 1:
+        if not lines or lines[0][0] < 1:
             raise ValueError(f"{path} does not start with an index header of positive dim")
         (dim, count), records = lines[0], lines[1:]
         chunk_ids, texts, rows, linenos = zip(*records) if records else ((), (), (), ())
@@ -240,20 +240,14 @@ class KnowledgeGraph:
         self._triplets[key] = (head_entity.name, relation, tail_entity.name)
 
     def save(self, path) -> None:
-        lines = []
-        for entity in self.entities:
-            lines.append(json.dumps(
-                {"kind": "entity", "name": entity.name,
-                 "description": entity.description,
-                 "visual_location": entity.visual_location},
-                ensure_ascii=False,
-            ))
-        for head, relation, tail in self.triplets:
-            lines.append(json.dumps(
-                {"kind": "triplet", "head": head, "relation": relation, "tail": tail},
-                ensure_ascii=False,
-            ))
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as fh:
+            for entity in self._entities.values():
+                _write_line(fh, {"kind": "entity", "name": entity.name,
+                                 "description": entity.description,
+                                 "visual_location": entity.visual_location})
+            for head, relation, tail in self._triplets.values():
+                _write_line(fh, {"kind": "triplet", "head": head, "relation": relation,
+                                 "tail": tail})
 
     @classmethod
     def load(cls, path) -> "KnowledgeGraph":
@@ -271,16 +265,25 @@ class KnowledgeGraph:
         return graph
 
 
+def _write_line(fh, record: dict) -> None:
+    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def _read_jsonl(path, what: str, parse) -> list:
     """`parse(lineno, record)` for each non-blank JSON line of `path`, in order. A
-    line that fails to parse is a ValueError naming the file and the line."""
+    line that fails to parse is a ValueError naming the file and the line.
+
+    The file is read as a stream and split only at line ends: the stores write
+    U+2028, U+2029 and U+0085 raw inside strings, where `str.splitlines` would
+    split too."""
     parsed = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if line.strip():
-            try:
-                parsed.append(parse(lineno, json.loads(line)))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
-                raise ValueError(f"bad {what} at {path} line {lineno}: {exc!r}") from exc
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if line.strip():
+                try:
+                    parsed.append(parse(lineno, json.loads(line)))
+                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                    raise ValueError(f"bad {what} at {path} line {lineno}: {exc!r}") from exc
     return parsed
 
 

@@ -19,7 +19,6 @@ import re
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 from .decompose import DecompositionAgent, SubQueryPlan
 from .decision import (
@@ -322,15 +321,18 @@ def run_eval(pipeline: Pipeline, dataset_path, keep_traces: bool = False) -> dic
     per_tag: dict[str, dict[str, int]] = {}
     rows = []
     traces = []
-    for lineno, line in enumerate(Path(dataset_path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            record = parse_eval_record(json.loads(line))
-        except (ValueError, TypeError) as exc:
-            logger.warning("skipping malformed eval record at line %d: %s", lineno, exc)
-            skipped += 1
-            continue
+    records = []
+    # split only at line ends: U+2028, U+2029 and U+0085 may sit raw inside a string
+    with open(dataset_path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                records.append(parse_eval_record(json.loads(line)))
+            except (ValueError, TypeError) as exc:
+                logger.warning("skipping malformed eval record at line %d: %s", lineno, exc)
+                skipped += 1
+    for record in records:
         predicted = None
         error_text = ""
         try:

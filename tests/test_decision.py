@@ -1,4 +1,5 @@
 import itertools
+import threading
 from statistics import mean
 
 import pytest
@@ -286,6 +287,73 @@ def test_decide_summarizes_candidates_missing_summaries():
     )
     assert final == "merged"
     assert all(c.summary == "answer a" for c in worked)
+
+
+class SummaryChat:
+    """Summarizes each of `texts` as "short <text>" and answers any other prompt
+    "merged". Counts the summary requests; with a barrier, each summary reply
+    waits on it first."""
+
+    def __init__(self, texts, barrier=None):
+        self.texts = {TEMPLATES.render("summarize", text=t, budget=64): t for t in texts}
+        self.barrier = barrier
+        self.summary_calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, turns, params):
+        text = self.texts.get(turns[-1].content)
+        if text is None:
+            return "merged"
+        with self._lock:
+            self.summary_calls += 1
+        if self.barrier is not None:
+            self.barrier.wait()
+        return f"short {text}"
+
+
+def test_decide_summarizes_each_distinct_text_once():
+    chat = SummaryChat(["granite", "basalt"])
+    agent = DecisionAgent(make_gateway(chat=chat), TEMPLATES)
+    _, _, worked = agent.decide("q?", [
+        candidate("vector", "granite"), candidate("graph", "basalt"), candidate("web", "granite")])
+    assert chat.summary_calls == 2
+    assert [(c.source, c.summary) for c in worked] == [
+        ("vector", "short granite"), ("graph", "short basalt"), ("web", "short granite")]
+
+
+@pytest.mark.parametrize("texts", [("granite", "basalt"), ("granite", "basalt", "slate")])
+def test_decide_requests_the_distinct_summaries_at_the_same_time(texts):
+    # each reply waits until every summary request has arrived, so requests
+    # made one after another would break the barrier instead
+    chat = SummaryChat(texts, barrier=threading.Barrier(len(texts), timeout=5))
+    agent = DecisionAgent(make_gateway(chat=chat), TEMPLATES)
+    sources = ("vector", "graph", "web")
+    _, _, worked = agent.decide("q?", [candidate(s, t) for s, t in zip(sources, texts)])
+    assert [c.summary for c in worked] == [f"short {t}" for t in texts]
+
+
+def test_failed_shared_summary_warns_and_drops_each_sharer_in_candidate_order():
+    failing = TEMPLATES.render("summarize", text="shared", budget=64)
+
+    class SharedSummaryDown(SummaryChat):
+        def complete(self, turns, params):
+            if turns[-1].content == failing:
+                with self._lock:
+                    self.summary_calls += 1
+                raise BackendUnavailableError("down")
+            return super().complete(turns, params)
+
+    chat = SharedSummaryDown(["own"])
+    agent = DecisionAgent(make_gateway(chat=chat), TEMPLATES)
+    warnings = []
+    final, report, worked = agent.decide("q?", [
+        candidate("vector", "own"), candidate("graph", "shared"), candidate("web", "shared")],
+        warnings)
+    assert chat.summary_calls == 2
+    assert warnings == ["graph summary failed: down", "web summary failed: down"]
+    assert [(c.source, c.available, c.summary) for c in worked] == [
+        ("vector", True, "short own"), ("graph", False, None), ("web", False, None)]
+    assert (final, report.pair_scores) == ("merged", {})
 
 
 def test_routing_is_pure_function_of_scores_across_random_fixtures():

@@ -197,6 +197,29 @@ def test_index_load_names_the_file_of_a_header_without_positive_dim(tmp_path):
                                          "header of positive dim"):
         EmbeddingIndex.load(path)
 
+
+@pytest.mark.parametrize("header", [
+    {"dim": 2.9, "count": True}, {"dim": 2.0, "count": 1}, {"dim": True, "count": 1},
+    {"dim": 2, "count": 1.0}, {"dim": "2", "count": 1},
+], ids=["float_dim_bool_count", "float_dim", "bool_dim", "float_count", "text_dim"])
+def test_index_load_refuses_a_header_count_or_dim_that_is_not_an_integer(tmp_path, header):
+    path = tmp_path / "index.jsonl"
+    path.write_text(json.dumps(header) + "\n"
+                    + json.dumps({"chunk_id": "a", "vector": [1.0, 0.0], "text": "t"}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"bad index record at {re.escape(str(path))} line 1: "
+                                         ".*must be integers"):
+        EmbeddingIndex.load(path)
+
+
+def test_index_load_takes_the_header_from_the_first_non_blank_line(tmp_path):
+    index = EmbeddingIndex(2, ["a"], ["t"], np.eye(1, 2))
+    path = tmp_path / "index.jsonl"
+    index.save(path)
+    path.write_text("\n \n" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert EmbeddingIndex.load(path) == index
+
+
 def test_parse_extraction_lines():
     response = "ENTITY|sun|star\nENTITY|earth|planet\nREL|earth|orbits|sun\nnoise line"
     entities, triplets = parse_extraction_response(response)
@@ -313,3 +336,37 @@ def test_load_corpus_reports_bad_line(tmp_path):
     path.write_text('{"id": "a", "text": "x"}\nnot json\n', encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
         load_corpus(path)
+
+
+# str.splitlines also splits at these; the stores write them raw inside strings
+LINE_SEPARATORS = ["\u2028", "\u2029", "\u0085"]
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS, ids=["u2028", "u2029", "u0085"])
+def test_index_round_trips_a_text_holding_a_unicode_line_separator(tmp_path, separator):
+    index = EmbeddingIndex(2, ["a", "b"], [f"one{separator}two", "three"], np.eye(2))
+    path = tmp_path / "index.jsonl"
+    index.save(path)
+    assert separator in path.read_text(encoding="utf-8")
+    assert EmbeddingIndex.load(path) == index
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS, ids=["u2028", "u2029", "u0085"])
+def test_graph_round_trips_fields_holding_a_unicode_line_separator(tmp_path, separator):
+    graph = KnowledgeGraph()
+    graph.add_entity("Sun", f"a{separator}star", visual_location=f"img/{separator}sun.png")
+    graph.add_triplet("Earth", "orbits", "Sun")
+    path = tmp_path / "graph.jsonl"
+    graph.save(path)
+    loaded = KnowledgeGraph.load(path)
+    assert loaded == graph
+    assert loaded.get_entity("sun").visual_location == f"img/{separator}sun.png"
+
+
+@pytest.mark.parametrize("separator", LINE_SEPARATORS, ids=["u2028", "u2029", "u0085"])
+def test_load_corpus_reads_a_text_holding_a_unicode_line_separator(tmp_path, separator):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"id": "a", "text": f"one{separator}two"}, ensure_ascii=False)
+                    + "\r\n" + json.dumps({"id": "b", "text": "three"}) + "\n", encoding="utf-8")
+    assert [(r.id, r.text) for r in load_corpus(path)] == [("a", f"one{separator}two"),
+                                                           ("b", "three")]

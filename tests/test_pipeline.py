@@ -1,6 +1,7 @@
 import concurrent.futures
 import json
 import logging
+import sys
 import threading
 import time
 import zlib
@@ -150,6 +151,38 @@ def test_concurrent_queries_keep_their_own_traces():
     with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
         concurrent_runs = list(pool.map(lambda q: pipeline.run_query(q).normalized(), questions))
     assert concurrent_runs == serial
+
+
+class DigestChat:
+    """Answers every prompt with "single-intent" (so the intent judgment reads
+    single) and a digest of the prompt. The three agents' prompts differ, so each
+    sub-query has three distinct answers, and so three summary requests."""
+
+    def complete(self, turns, params):
+        return f"single-intent {zlib.crc32(turns[-1].content.encode('utf-8')):08x}"
+
+
+def test_concurrent_queries_keep_their_own_summary_calls():
+    world = build_world(n=20)
+    pipeline = world.make_pipeline()
+    gateway = pipeline._gateway
+    gateway._chat_backends = dict.fromkeys(gateway._chat_backends, DigestChat())
+    questions = [format_eval_question(r) for r in world.eval_records]
+    serial = [pipeline.run_query(q).normalized() for q in questions]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, so a lost call record shows
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            concurrent_runs = list(pool.map(lambda q: pipeline.run_query(q).normalized(),
+                                            questions))
+    finally:
+        sys.setswitchinterval(interval)
+    assert concurrent_runs == serial
+    summary_head = TEMPLATES.text("summarize").split("{", 1)[0]
+    for trace in concurrent_runs:
+        (entry,) = trace["entries"]
+        assert len({c["text"] for c in entry["candidates"] if c["summary"]}) == 3
+        assert sum(c["detail"].startswith(summary_head) for c in trace["calls"]) == 3
 
 
 def _mini_vector_store(texts):
@@ -560,8 +593,9 @@ def test_summary_failures_reach_the_error_trace(small_world):
         ("vector", False), ("graph", False), ("web", False)]
     assert entry.warnings == [f"{source} summary failed: down"
                               for source in ("vector", "graph", "web")]
-    # the calls made before the failure still reach the trace
-    assert sum(c.role == "lightweight_chat" for c in trace.calls) == 4
+    # the calls made before the failure still reach the trace: the graph
+    # answer and the one summary request for the text all three share
+    assert sum(c.role == "lightweight_chat" for c in trace.calls) == 2
 
 
 def _stage_prompt(world, record, stage):
@@ -681,6 +715,22 @@ def test_run_eval_counts_and_tags(tmp_path, small_world):
     assert report["skipped"] == 2
     assert set(report["per_tag"]) == {"coastal", "inland"}
     assert report["per_tag"]["inland"]["total"] == 2
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"],
+                         ids=["u2028", "u2029", "u0085"])
+def test_run_eval_reads_a_record_holding_a_unicode_line_separator(tmp_path, small_world, separator):
+    # str.splitlines also splits at these, which sit raw in an ensure_ascii=False line
+    record = small_world.eval_records[0]
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(json.dumps({
+        "id": f"q{separator}1", "question": record.question, "choices": list(record.choices),
+        "answer": record.answer, "tags": [f"tag{separator}"]}, ensure_ascii=False) + "\n",
+        encoding="utf-8")
+    report = run_eval(small_world.make_pipeline(), dataset)
+    assert (report["total"], report["correct"], report["skipped"]) == (1, 1, 0)
+    assert report["questions"][0]["id"] == f"q{separator}1"
+    assert set(report["per_tag"]) == {f"tag{separator}"}
 
 
 def test_run_eval_skips_lines_that_are_not_objects(tmp_path, small_world):

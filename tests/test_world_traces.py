@@ -12,7 +12,7 @@ from hmrag.pipeline import format_eval_question
 
 from world import build_world
 
-WORLD_TRACES_SHA256 = "75808924fcbc531656ed85451fb18e3040d0b481aa8d2518fdb65c369a61e1fe"
+WORLD_TRACES_SHA256 = "ba5af7c48b8326cf5b5a0e935701bc9001e6738aac00cbe810def2f01455599c"
 
 ALL_AGENTS = ("vector", "graph", "web")
 PIPELINES = [  # (enabled agents, decision stage on)
