@@ -10,8 +10,10 @@ top_p 1, so every call is reproducible given the same backend state.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
+import math
 import mimetypes
 import os
 import threading
@@ -164,12 +166,29 @@ class ScriptedChatBackend:
             raise ScriptMismatchError(f"no scripted response for prompt {prompt[:120]!r}") from None
 
 
+# vector data each HashingEmbeddingBackend memoises: 32 768 tokens at dim 64
+_TOKEN_MEMO_BYTES = 16 * 2**20
+
+
+def _draw(seed: int, dim: int, token: str) -> np.ndarray:
+    """The read-only unit vector of `token`: a normal draw seeded from its content hash."""
+    digest = hashlib.sha256(f"{seed}\x1f{token}".encode("utf-8")).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    vec = rng.standard_normal(dim)
+    vec = vec / np.linalg.norm(vec)
+    vec.flags.writeable = False  # memo entries are shared by every caller
+    return vec
+
+
 class HashingEmbeddingBackend:
     """Deterministic embedding double.
 
     The vector is the normalized sum of per-token pseudo-random unit
     vectors seeded from a content hash, so identical text maps to an
     identical vector and texts sharing tokens land near each other.
+    Token vectors are memoised per instance, least recently used first
+    out, within `_TOKEN_MEMO_BYTES` of vector data; the memo is
+    thread-safe and every `embed` returns a fresh array.
     """
 
     def __init__(self, dim: int = 64, seed: int = 0):
@@ -177,12 +196,9 @@ class HashingEmbeddingBackend:
             raise ValueError("dim must be positive")
         self.dim = dim
         self.seed = seed
-
-    def _token_vector(self, token: str) -> np.ndarray:
-        digest = hashlib.sha256(f"{self.seed}\x1f{token}".encode("utf-8")).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-        vec = rng.standard_normal(self.dim)
-        return vec / np.linalg.norm(vec)
+        # a partial, not a method, so the memo holds no reference to this instance
+        self._token_vector = functools.lru_cache(_TOKEN_MEMO_BYTES // (8 * dim))(
+            functools.partial(_draw, seed, dim))
 
     def embed(self, text: str) -> np.ndarray:
         tokens = text.casefold().split()
@@ -191,9 +207,9 @@ class HashingEmbeddingBackend:
         acc = np.zeros(self.dim, dtype=np.float64)
         for token in tokens:
             acc += self._token_vector(token)
-        norm = np.linalg.norm(acc)
+        norm = math.sqrt(acc.dot(acc))  # np.linalg.norm's own formula for a real vector
         if norm == 0.0:  # astronomically unlikely; keep the unit-norm contract
-            return self._token_vector(" ".join(tokens))
+            return self._token_vector(" ".join(tokens)).copy()
         return acc / norm
 
 

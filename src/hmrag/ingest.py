@@ -141,9 +141,13 @@ class EmbeddingIndex:
                 raise TypeError("chunk_id and text must be strings")
             if first_line_of.setdefault(chunk_id, lineno) != lineno:
                 raise ValueError(f"chunk_id {chunk_id!r} repeats line {first_line_of[chunk_id]}")
-            return chunk_id, text, check_vector_entries(rec["vector"]), lineno
+            # one float64 row per line: a list of Python floats per row would triple the peak
+            return chunk_id, text, np.array(check_vector_entries(rec["vector"]), np.float64), lineno
 
-        lines = _read_jsonl(path, "index record", parse)
+        try:
+            lines = _read_jsonl(path, "index record", parse)
+        except OverflowError as exc:  # an integer entry beyond float range
+            raise ValueError(f"bad index record in {path}: {exc}") from exc
         if not lines or lines[0][0] < 1:
             raise ValueError(f"{path} does not start with an index header of positive dim")
         (dim, count), records = lines[0], lines[1:]
@@ -154,10 +158,7 @@ class EmbeddingIndex:
                                  f"vector has {len(row)} entries, header dim is {dim}")
         if len(records) != count:
             raise ValueError(f"{path}: index header says {count} records, file has {len(records)}")
-        try:
-            matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), dim)
-        except OverflowError as exc:
-            raise ValueError(f"bad index record in {path}: {exc}") from exc
+        matrix = np.vstack(rows) if rows else np.empty((0, dim))
         nonfinite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
         if nonfinite.size:
             raise ValueError(

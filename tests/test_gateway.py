@@ -1,6 +1,10 @@
+import concurrent.futures
 import dataclasses
+import hashlib
 import itertools
 import json
+import random
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from hmrag.gateway import (
     CallLog,
     ChatTurn,
     DecodingParams,
+    HashingEmbeddingBackend,
     HTTPCaptionBackend,
     HTTPChatBackend,
     HTTPEmbeddingBackend,
@@ -103,6 +108,71 @@ def test_hashing_embedding_similar_text_scores_higher(hashing_backend):
     near = hashing_backend.embed("capital of arvania")
     far = hashing_backend.embed("unrelated volcanic mineral survey")
     assert float(base @ near) > float(base @ far)
+
+
+def reference_embedding(text, dim, seed):
+    """The hashing embedding written out without its memo."""
+    acc = np.zeros(dim)
+    for token in text.casefold().split():
+        digest = hashlib.sha256(f"{seed}\x1f{token}".encode("utf-8")).digest()
+        vec = np.random.default_rng(int.from_bytes(digest[:8], "little")).standard_normal(dim)
+        acc += vec / np.linalg.norm(vec)
+    return acc / np.linalg.norm(acc)
+
+
+@pytest.mark.parametrize("dim, seed", [(3, 0), (16, 1), (64, 0), (64, 9)])
+def test_hashing_embedding_is_bit_identical_to_the_unmemoised_formula(dim, seed):
+    backend = HashingEmbeddingBackend(dim, seed)
+    texts = ["cat", "Cat cat CAT", "the Capital of ARVANIA is arvapolis the", "Straße strasse",
+             "cat"]
+    for text in texts + texts:  # the second pass reads every token from the memo
+        assert backend.embed(text).tobytes() == reference_embedding(text, dim, seed).tobytes()
+
+
+def test_embed_returns_an_array_the_memo_does_not_share(monkeypatch):
+    draw = gateway_mod._draw
+
+    def opposed(seed, dim, token):  # "down" is "up" reversed, so "up down" sums to zero
+        return -draw(seed, dim, "up") if token == "down" else draw(seed, dim, token)
+
+    monkeypatch.setattr(gateway_mod, "_draw", opposed)
+    backend = HashingEmbeddingBackend(dim=8, seed=3)
+    assert backend.embed("up down").tobytes() == draw(3, 8, "up down").tobytes()  # the fallback
+    for text in ("cat", "cat dog cat", "up down"):
+        first = backend.embed(text)
+        expected = first.copy()
+        first += 1.0
+        np.testing.assert_array_equal(backend.embed(text), expected)
+
+
+def test_hashing_embedding_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(gateway_mod, "_TOKEN_MEMO_BYTES", 10 * 16 * 8)  # ten vectors at dim 16
+    backend = HashingEmbeddingBackend(dim=16, seed=2)
+    tokens = [f"token{i}" for i in range(50)]
+    for token in tokens + tokens[:5]:
+        assert backend.embed(token).tobytes() == reference_embedding(token, 16, 2).tobytes()
+    info = backend._token_vector.cache_info()
+    assert info.maxsize == 10 and info.currsize == 10
+
+
+def test_concurrent_embeds_equal_serial_ones():
+    tokens = [f"tok{i % 300} tok{i % 7}" for i in range(1200)]
+    serial = {text: HashingEmbeddingBackend(16, 4).embed(text).tobytes() for text in tokens}
+    shared = HashingEmbeddingBackend(16, 4)
+
+    def worker(order):
+        shuffled = random.Random(order).sample(tokens, len(tokens))
+        return all(shared.embed(text).tobytes() == serial[text] for text in shuffled)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so a torn memo entry shows
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(worker, order) for order in range(8)]
+            assert all(future.result(timeout=60) for future in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared._token_vector.cache_info().currsize == 300
 
 
 def test_scripted_caption_and_miss():
@@ -314,9 +384,7 @@ def test_call_log_records_roles(hashing_backend):
 
 
 def test_call_log_is_thread_safe(hashing_backend):
-    import concurrent.futures
     import contextvars
-    import sys
 
     log = CallLog()
     gateway = make_gateway(embedding=hashing_backend, call_log=log)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,22 @@ def test_index_load_takes_the_header_from_the_first_non_blank_line(tmp_path):
     index.save(path)
     path.write_text("\n \n" + path.read_text(encoding="utf-8"), encoding="utf-8")
     assert EmbeddingIndex.load(path) == index
+
+
+def test_index_load_peak_memory_stays_below_four_matrices(tmp_path):
+    matrix = np.random.default_rng(0).standard_normal((5000, 64))
+    index = EmbeddingIndex(64, [f"c{i}" for i in range(5000)], [f"text {i}" for i in range(5000)],
+                           matrix)
+    path = tmp_path / "index.jsonl"
+    index.save(path)
+    tracemalloc.start()
+    try:
+        loaded = EmbeddingIndex.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == index
+    assert peak < 4 * matrix.nbytes, peak / matrix.nbytes
 
 
 def test_parse_extraction_lines():
