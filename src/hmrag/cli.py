@@ -204,9 +204,11 @@ def cmd_query(args) -> int:
 
 def cmd_eval(args) -> int:
     pipeline = _make_pipeline(args)
-    # opened before the first question, so an unwritable path costs no model call
+    # opened before the first question, so an unwritable path costs no model call,
+    # and for appending, so a run that fails leaves an existing report as it was
+    open(args.report, "a", encoding="utf-8").close()
+    report = run_eval(pipeline, args.dataset)
     with open(args.report, "w", encoding="utf-8") as out:
-        report = run_eval(pipeline, args.dataset)
         out.write(json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
     print(f"accuracy {report['accuracy']:.4f} "
           f"({report['correct']}/{report['total']}, {report['skipped']} skipped)")

@@ -20,8 +20,7 @@ Metric conventions, fixed for reproducibility:
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
+import functools
 import itertools
 import logging
 import math
@@ -33,6 +32,7 @@ from statistics import mean
 import numpy as np
 
 from .errors import GatewayError, PipelineError, trace_warning
+from .gateway import run_in_threads
 from .kernels import lcs_length
 from .templates import TemplateSet
 
@@ -189,26 +189,12 @@ class DecisionAgent:
         self.consensus_threshold = consensus_threshold
         self.summary_token_budget = summary_token_budget
 
-    def summarize(self, candidate: AnswerCandidate,
-                  warnings: list[str] | None = None) -> AnswerCandidate:
-        """Attach a short model-written summary; unavailable candidates pass through.
-
-        A GatewayError marks the candidate unavailable and adds one warning,
-        "{source} summary failed: {error}".
-        """
-        if not candidate.available:
-            return candidate
-        prompt = self._templates.render(
-            "summarize", text=candidate.text, budget=self.summary_token_budget
-        )
-        try:
-            summary = self._gateway.complete_chat(
-                prompt, role="lightweight_chat", max_tokens=self.summary_token_budget
-            )
-        except GatewayError as exc:
-            trace_warning(warnings, f"{candidate.source} summary failed: {exc}")
-            return replace(candidate, available=False)
-        return replace(candidate, summary=summary)
+    def summarize(self, text: str) -> str:
+        """One summary request: a short model-written summary of `text`. A failed
+        request raises its GatewayError."""
+        prompt = self._templates.render("summarize", text=text, budget=self.summary_token_budget)
+        return self._gateway.complete_chat(
+            prompt, role="lightweight_chat", max_tokens=self.summary_token_budget)
 
     def _summarize_distinct(self, candidates, warnings: list[str] | None
                             ) -> list[AnswerCandidate]:
@@ -217,41 +203,23 @@ class DecisionAgent:
         candidate with that text. Decoding is pinned, so a repeated prompt could
         only repeat the summary.
 
-        A failed summary marks every sharer unavailable with its own warning;
-        the warnings follow in candidate order once the round has ended.
+        A failed summary marks every sharer unavailable, each with its own
+        warning "{source} summary failed: {error}", in candidate order once the
+        round has ended; an error that is not a GatewayError is raised.
         """
-        firsts: dict[str, AnswerCandidate] = {}  # text -> first candidate needing it
-        for c in candidates:
-            if c.available and c.summary is None:
-                firsts.setdefault(c.text, c)
-        failures = {text: [] for text in firsts}
-        if len(firsts) < 2:
-            done = {text: self.summarize(c, failures[text]) for text, c in firsts.items()}
-        else:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=min(len(firsts), 3)) as pool:
-                # each task runs in a copy of the query's context, so its call
-                # lands in this query's call list
-                futures = {text: pool.submit(contextvars.copy_context().run,
-                                             self.summarize, c, failures[text])
-                           for text, c in firsts.items()}
-            done = {text: future.result() for text, future in futures.items()}
-
+        texts = list(dict.fromkeys(c.text for c in candidates if c.available and c.summary is None))
+        futures = dict(zip(texts, run_in_threads(
+            [functools.partial(self.summarize, text) for text in texts])))
         worked = []
         for c in candidates:
-            summarized = done.get(c.text) if c.available and c.summary is None else None
-            if summarized is None:
+            if not c.available or c.summary is not None:
                 worked.append(c)
-            elif summarized.available:
-                worked.append(replace(c, summary=summarized.summary))
-            else:
+                continue
+            try:
+                worked.append(replace(c, summary=futures[c.text].result()))
+            except GatewayError as exc:
+                trace_warning(warnings, f"{c.source} summary failed: {exc}")
                 worked.append(replace(c, available=False))
-                # summarize already logged the first sharer's warning
-                first, (message,) = firsts[c.text], failures[c.text]
-                if c is first:
-                    if warnings is not None:
-                        warnings.append(message)
-                else:
-                    trace_warning(warnings, c.source + message[len(first.source):])
         return worked
 
     def _refine(self, query: str, candidates, route: str) -> str:
@@ -272,7 +240,8 @@ class DecisionAgent:
                ) -> tuple[str, ConsensusReport, list[AnswerCandidate]]:
         """Vote over the available candidates and produce the final text.
 
-        A failed summary adds its warning to `warnings`, when given.
+        A failed summary adds one warning to `warnings`, when given, for each
+        candidate sharing its text.
 
         Returns the final answer, the consensus report, and the candidate
         list as it stood at voting time (summaries attached, failures

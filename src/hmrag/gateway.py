@@ -10,6 +10,7 @@ top_p 1, so every call is reproducible given the same backend state.
 from __future__ import annotations
 
 import base64
+import concurrent.futures
 import functools
 import hashlib
 import json
@@ -18,7 +19,7 @@ import mimetypes
 import os
 import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,8 +73,8 @@ class ModelBackendConfig:
     retries: int = 2
 
     def __post_init__(self):
-        if self.timeout_s <= 0:
-            raise ValueError("timeout_s must be > 0")
+        if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:  # refuses nan too
+            raise ValueError(f"timeout_s must be in (0, {threading.TIMEOUT_MAX}]")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
 
@@ -96,9 +97,10 @@ class CallLog:
     """Collects each query's backend calls for its trace.
 
     `collect()` opens a fresh list in the current context, and `record`
-    appends to whatever list is open there. Threads run in a copy of the
-    query's context share its list, so concurrent queries never see each
-    other's calls; a call made outside `collect()` is dropped.
+    appends to whatever list is open there. Threads started by
+    `run_in_threads` run in a copy of the query's context and share its
+    list, so concurrent queries never see each other's calls; a call made
+    outside `collect()` is dropped.
     """
 
     def record(self, kind: str, role: str, detail: str) -> None:
@@ -115,6 +117,21 @@ class CallLog:
             yield _open_calls.get()
         finally:
             _open_calls.reset(token)
+
+
+def run_in_threads(calls, timeout: float | None = None) -> list:
+    """Run each zero-argument call on its own thread and wait up to `timeout`
+    seconds for all of them: the one way a query runs work concurrently.
+
+    Each call runs in a copy of the caller's context, so its backend calls,
+    late ones too, land only in the caller's call list. Returns, per call, its future if it has
+    finished by then, else None; an unfinished call ends in the background.
+    """
+    pool = concurrent.futures.ThreadPoolExecutor(max_workers=len(calls) or 1)
+    futures = [pool.submit(copy_context().run, call) for call in calls]
+    done, _ = concurrent.futures.wait(futures, timeout=timeout)
+    pool.shutdown(wait=False)  # so an unfinished call cannot stall the caller
+    return [future if future in done else None for future in futures]
 
 
 def load_fixture(path, what: str, valid, wanted: str):

@@ -31,8 +31,8 @@ class CorpusRecord:
     image_ref: str | None = None
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("corpus record needs an id")
+        if not isinstance(self.id, str) or not self.id:
+            raise ValueError(f"corpus record needs a non-empty string id, got {self.id!r}")
         if not isinstance(self.text, str) or not isinstance(self.image_ref, (str, type(None))):
             raise ValueError(f"record {self.id!r}: text and image_ref must be strings")
         if not self.text and not self.image_ref:
@@ -289,8 +289,16 @@ def _read_jsonl(path, what: str, parse) -> list:
 
 
 def load_corpus(path) -> list[CorpusRecord]:
-    return _read_jsonl(path, "corpus record", lambda lineno, raw: CorpusRecord(
-        raw["id"], raw.get("text", "") or "", raw.get("image_ref")))
+    """The corpus records of `path`; a repeated id is refused at its second line."""
+    first_lines: dict[str, int] = {}
+
+    def parse(lineno, raw):
+        record = CorpusRecord(raw["id"], raw.get("text", "") or "", raw.get("image_ref"))
+        first = first_lines.setdefault(record.id, lineno)
+        if first != lineno:
+            raise ValueError(f"id {record.id!r} repeats the id of line {first}")
+        return record
+    return _read_jsonl(path, "corpus record", parse)
 
 
 def caption_and_refine(record: CorpusRecord, gateway, templates: TemplateSet) -> FusedDocument:

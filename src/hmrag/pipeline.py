@@ -11,11 +11,11 @@ verbatim, falling back to vector then graph.
 
 from __future__ import annotations
 
-import concurrent.futures
-import contextvars
+import functools
 import json
 import logging
 import re
+import threading
 import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
@@ -29,7 +29,7 @@ from .decision import (
     unavailable_candidate,
 )
 from .errors import GatewayError, PipelineError, trace_warning
-from .gateway import CallLog, ModelGateway
+from .gateway import CallLog, ModelGateway, run_in_threads
 from .ingest import EmbeddingIndex, KnowledgeGraph
 from .graph_agent import GraphAgent
 from .templates import TemplateSet
@@ -68,8 +68,8 @@ class PipelineConfig:
         for name in ("top_k", "summary_token_budget"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.agent_timeout_s <= 0:
-            raise ValueError("agent_timeout_s must be > 0")
+        if not 0 < self.agent_timeout_s <= threading.TIMEOUT_MAX:  # refuses nan too
+            raise ValueError(f"agent_timeout_s must be in (0, {threading.TIMEOUT_MAX}]")
 
 
 @dataclass
@@ -159,23 +159,16 @@ class Pipeline:
         self._order = tuple(s for s in SOURCES if s in self._agents)
 
     def _fan_out(self, query: str, entry: SubQueryTrace) -> list[AnswerCandidate]:
-        candidates = []
         # one list per agent, so a timed-out agent's late warnings stay out of the trace
         warnings = {source: [] for source in self._order}
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=len(self._order))
-        # each agent runs in a copy of the query's context, so its calls, late
-        # ones from a timed-out agent too, land only in this query's call list
-        futures = {source: pool.submit(contextvars.copy_context().run,
-                                       self._agents[source].run, query, warnings[source])
-                   for source in self._order}
         # one deadline for all agents, counted from the start of the fan-out
-        done, _ = concurrent.futures.wait(futures.values(), timeout=self.cfg.agent_timeout_s)
-        # wait=False so a timed-out agent cannot stall the query; its
-        # thread finishes in the background and is simply ignored
-        pool.shutdown(wait=False)
-        for source in self._order:
-            if futures[source] in done:
-                candidates.append(futures[source].result())
+        runs = [functools.partial(self._agents[source].run, query, warnings[source])
+                for source in self._order]
+        futures = run_in_threads(runs, timeout=self.cfg.agent_timeout_s)
+        candidates = []
+        for source, future in zip(self._order, futures):
+            if future is not None:
+                candidates.append(future.result())
                 entry.warnings.extend(warnings[source])
             else:
                 candidates.append(unavailable_candidate(source))

@@ -1,4 +1,5 @@
 import json
+import re
 import shutil
 
 import pytest
@@ -210,13 +211,16 @@ def test_malformed_store_line_is_reported_with_file_and_line(
 
 
 def test_missing_dataset_is_one_error_line(world_dir, store_dir, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    report.write_text('{"accuracy": 1.0}\n', encoding="utf-8")
     code, out, err = run_cli([
         "eval", "--store", str(store_dir), "--dataset", str(tmp_path / "missing.jsonl"),
-        "--report", str(tmp_path / "report.json"), "--config", str(world_dir.paths["config"]),
+        "--report", str(report), "--config", str(world_dir.paths["config"]),
     ], capsys)
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "missing.jsonl" in err
+    assert report.read_text(encoding="utf-8") == '{"accuracy": 1.0}\n'
 
 
 def test_unwritable_report_fails_before_any_question(
@@ -253,6 +257,26 @@ def test_retired_config_key_stops_query_before_any_backend_call(
     assert code == 1
     key = line.partition(" =")[0]
     assert err == f"error: config line {lineno} sets unknown key '{key}'\n"
+
+
+@pytest.mark.parametrize("lines", [["orchestrator.agent_timeout_s = inf"],
+                                   ["web.backend = http", "web.timeout_s = nan"]])
+def test_timeout_out_of_range_stops_query_before_any_backend_call(
+        world_dir, store_dir, tmp_path, capsys, monkeypatch, lines):
+    def no_backend(*args, **kwargs):
+        raise AssertionError("no backend may be called")
+
+    monkeypatch.setattr(ScriptedChatBackend, "complete", no_backend)
+    monkeypatch.setattr(HashingEmbeddingBackend, "embed", no_backend)
+    monkeypatch.setattr(gateway_mod.requests, "post", no_backend)
+    config = tmp_path / "hmrag.conf"
+    config.write_text(world_dir.paths["config"].read_text(encoding="utf-8") + "\n".join(lines)
+                      + "\n", encoding="utf-8")
+    code, out, err = run_cli([
+        "query", "--store", str(store_dir), "--config", str(config), "anything?",
+    ], capsys)
+    assert code == 1
+    assert re.fullmatch(r"error: (agent_)?timeout_s must be in \(0, [0-9.]+\]\n", err)
 
 
 def test_null_text_in_the_index_is_one_error_line_naming_it(world_dir, store_dir, tmp_path, capsys):

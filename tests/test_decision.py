@@ -17,11 +17,11 @@ from hmrag.decision import (
     tokenize,
     unavailable_candidate,
 )
-from hmrag.errors import BackendUnavailableError, PipelineError
+from hmrag.errors import BackendUnavailableError, PipelineError, ScriptMismatchError
 from hmrag.gateway import ScriptedChatBackend
 from hmrag.templates import TemplateSet
 
-from conftest import ConstantChatBackend, make_gateway, user_turns
+from conftest import ConstantChatBackend, CountingChatBackend, make_gateway, user_turns
 
 TEMPLATES = TemplateSet()
 
@@ -153,15 +153,19 @@ def test_summarize_attaches_summary():
     prompt = TEMPLATES.render("summarize", text=text, budget=64)
     chat = ScriptedChatBackend().add(user_turns(prompt), "Granite is an igneous rock.")
     agent = DecisionAgent(make_gateway(chat=chat), TEMPLATES)
-    updated = agent.summarize(candidate("vector", text))
-    assert updated.summary == "Granite is an igneous rock."
-    assert agent.summarize(candidate("vector", text)).summary == updated.summary
+    assert agent.summarize(text) == "Granite is an igneous rock."
+    assert agent.summarize(text) == "Granite is an igneous rock."
 
 
 def test_summarize_skips_unavailable():
-    agent = make_agent()
+    # an unavailable candidate is passed through untouched and gets no summary request
+    chat = CountingChatBackend(SummaryChat(["granite", "basalt"]))
+    agent = DecisionAgent(make_gateway(chat=chat), TEMPLATES)
     untouched = unavailable_candidate("web")
-    assert agent.summarize(untouched) is untouched
+    _, _, worked = agent.decide("q?", [
+        candidate("vector", "granite"), candidate("graph", "basalt"), untouched])
+    assert worked[2] is untouched
+    assert (chat.inner.summary_calls, chat.calls) == (2, 3)  # two summaries, then the refine
 
 
 def test_summarize_failure_marks_unavailable():
@@ -170,8 +174,21 @@ def test_summarize_failure_marks_unavailable():
             raise BackendUnavailableError("down")
 
     agent = DecisionAgent(make_gateway(chat=Dead()), TEMPLATES)
-    updated = agent.summarize(candidate("vector", "text"))
-    assert updated.available is False
+    with pytest.raises(BackendUnavailableError, match="down"):
+        agent.summarize("text")
+    warnings = []
+    with pytest.raises(PipelineError, match="unavailable during summarization"):
+        agent.decide("q?", [candidate("vector", "text"), candidate("graph", "other")], warnings)
+    assert warnings == ["vector summary failed: down", "graph summary failed: down"]
+
+
+def test_decide_raises_a_summary_error_that_is_not_a_gateway_error():
+    # a scripted double's miss is a test bug, so it must not degrade to a warning
+    agent = DecisionAgent(make_gateway(chat=ScriptedChatBackend()), TEMPLATES)
+    warnings = []
+    with pytest.raises(ScriptMismatchError):
+        agent.decide("q?", [candidate("vector", "granite"), candidate("graph", "basalt")], warnings)
+    assert warnings == []
 
 
 def test_decide_identical_answers_routes_lightweight():

@@ -55,6 +55,10 @@ def test_chat_turn_requires_user_content():
 def test_backend_config_validates_timeout():
     with pytest.raises(ValueError):
         ModelBackendConfig(endpoint="http://x", timeout_s=0)
+    # requests.post would raise ValueError for nan and OverflowError for the others
+    for timeout_s in (float("nan"), float("inf"), 1e12):
+        with pytest.raises(ValueError, match="timeout_s"):
+            ModelBackendConfig(endpoint="http://x", timeout_s=timeout_s)
 
 
 def test_scripted_chat_returns_mapped_response():

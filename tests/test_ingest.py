@@ -339,12 +339,23 @@ def test_load_corpus_reads_jsonl(tmp_path):
     {"id": "a", "text": "t", "image_ref": 5},
     {"id": "a", "image_ref": ["img/a.png"]},
     {"id": "a", "text": 5},
+    {"id": 5, "text": "t"},
+    {"id": ["a"], "text": "t"},
 ])
 def test_load_corpus_refuses_text_or_image_ref_that_is_not_a_string(tmp_path, line):
     path = tmp_path / "corpus.jsonl"
     path.write_text(json.dumps({"id": "ok", "text": "fine"}) + "\n" + json.dumps(line) + "\n",
                     encoding="utf-8")
     with pytest.raises(ValueError, match=f"bad corpus record at {re.escape(str(path))} line 2"):
+        load_corpus(path)
+
+
+def test_load_corpus_refuses_a_repeated_id_naming_both_lines(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps({"id": i, "text": "t"}) + "\n" for i in ("a", "b", "a")),
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} line 3: .*'a' repeats "
+                                         "the id of line 1"):
         load_corpus(path)
 
 

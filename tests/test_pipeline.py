@@ -667,6 +667,7 @@ def test_run_eval_counts_backend_failure_and_goes_on(tmp_path, small_world, stag
     ("top_k", 0), ("tau", -0.1), ("tau", 1.5), ("fusion_lambda", -0.5), ("fusion_lambda", 1.01),
     ("consensus_threshold", -0.01), ("consensus_threshold", 2.0),
     ("summary_token_budget", 0), ("agent_timeout_s", 0.0), ("agent_timeout_s", -1.0),
+    ("agent_timeout_s", float("nan")), ("agent_timeout_s", float("inf")), ("agent_timeout_s", 1e12),
 ])
 def test_pipeline_config_rejects_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):

@@ -1,0 +1,110 @@
+"""Seeded backend faults under concurrency.
+
+Faults are chosen by the content of each request, never by call order, so
+a question meets the same faults whether it runs alone or beside seven
+others: a failed chat request (summary requests included), a reworded
+agent answer (so a sub-query has several distinct answers to summarize),
+a wrong-length query embedding and a malformed search payload. The serial
+and the concurrent run must then give byte-identical normalized traces.
+"""
+
+import concurrent.futures
+import json
+import zlib
+
+import pytest
+
+from hmrag.errors import BackendUnavailableError, PipelineError, ScriptMismatchError
+from hmrag.pipeline import format_eval_question
+from hmrag.web_agent import StubSearchClient
+
+from world import build_world
+
+SEED = 3
+THREADS = 8
+MALFORMED_SEARCH = {"organic": "not a list"}
+
+
+def chosen(kind: str, content: str, one_in: int) -> bool:
+    return zlib.crc32(f"{SEED}\x1f{kind}\x1f{content}".encode("utf-8")) % one_in == 0
+
+
+class FaultyChat:
+    """The world's scripted chat, with faults chosen by prompt.
+
+    A chosen prompt fails (one summary prompt in two, one other prompt in
+    eight); a chosen agent answer is reworded; a prompt the script lacks,
+    because faults changed what the pipeline asks, gets a digest of itself.
+    """
+
+    def __init__(self, book, summary_head):
+        self._book = book
+        self._summary_head = summary_head
+
+    def complete(self, turns, params):
+        prompt = turns[0].content
+        if chosen("chat", prompt, 2 if prompt.startswith(self._summary_head) else 8):
+            raise BackendUnavailableError("seeded chat fault")
+        try:
+            reply = self._book.complete(turns, params)
+        except ScriptMismatchError:
+            return f"unscripted {zlib.crc32(prompt.encode('utf-8')):08x}"
+        if reply.startswith("The answer is") and chosen("reword", prompt, 3):
+            return f"{reply} (reworded {zlib.crc32(prompt.encode('utf-8')):08x})"
+        return reply
+
+
+class FaultyEmbedding:
+    """The world's embedding, one entry short for the chosen texts."""
+
+    def __init__(self, inner, faulty_texts):
+        self._inner = inner
+        self._faulty = faulty_texts
+
+    def embed(self, text):
+        vector = self._inner.embed(text)
+        return vector[:-1] if text in self._faulty else vector
+
+
+def _faulty_pipeline(world, questions):
+    pipeline = world.make_pipeline(web_client=StubSearchClient({
+        query: MALFORMED_SEARCH if chosen("search", query, 4) else payload
+        for query, payload in world.web_fixture.items()}))
+    gateway = pipeline._gateway
+    chat = FaultyChat(world.book.backend(), world.templates.text("summarize").split("{", 1)[0])
+    gateway._chat_backends = dict.fromkeys(gateway._chat_backends, chat)
+    gateway._embedding = FaultyEmbedding(
+        world.embedding_backend(), {q for q in questions if chosen("embed", q, 4)})
+    return pipeline
+
+
+def _outcome(pipeline, question) -> str:
+    """The normalized trace as JSON, or the error and the trace it carries."""
+    try:
+        return json.dumps(pipeline.run_query(question).normalized(), sort_keys=True)
+    except PipelineError as exc:
+        assert exc.trace is not None, f"PipelineError without a trace: {exc}"
+        return json.dumps({"error": str(exc), "trace": exc.trace.normalized()}, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def faulty_world():
+    world = build_world(n=20)
+    questions = [format_eval_question(r) for r in world.eval_records]
+    return _faulty_pipeline(world, questions), questions
+
+
+def test_seeded_faults_give_the_same_traces_serially_and_from_eight_threads(faulty_world):
+    pipeline, questions = faulty_world
+    serial = [_outcome(pipeline, q) for q in questions]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=THREADS) as pool:
+        concurrent_runs = list(pool.map(lambda q: _outcome(pipeline, q), questions))
+    assert concurrent_runs == serial
+
+    # the seed reaches every kind of fault, and some questions still succeed
+    text = "\n".join(serial)
+    for needle in ("seeded chat fault", "summary failed", "response missing 'organic' array",
+                   "embedding has shape", '"error": "backend call failed'):
+        assert needle in text, needle
+    assert any('"error"' not in outcome for outcome in serial)
+    assert any("reworded" in outcome for outcome in serial)

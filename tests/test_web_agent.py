@@ -156,7 +156,9 @@ def test_live_client_non_json_body_is_parse_error_with_raw_body(monkeypatch):
     assert exc_info.value.raw_payload == body
 
 
-@pytest.mark.parametrize("kwargs", [{"timeout_s": 0}, {"timeout_s": -1.0}, {"retries": -1}])
+@pytest.mark.parametrize("kwargs", [{"timeout_s": 0}, {"timeout_s": -1.0}, {"retries": -1},
+                                    {"timeout_s": float("nan")}, {"timeout_s": float("inf")},
+                                    {"timeout_s": 1e12}])
 def test_live_client_rejects_bad_timeout_and_retries(kwargs):
     with pytest.raises(ValueError):
         SerperSearchClient(**kwargs)
