@@ -27,6 +27,7 @@ from .ingest import (
     KnowledgeGraph,
     build_index,
     caption_and_refine,
+    check_chunking,
     chunk_document,
     extract_graph,
     load_corpus,
@@ -167,6 +168,8 @@ def _make_pipeline(args) -> Pipeline:
 
 def cmd_ingest(args) -> int:
     cfg = config_mod.load_config(args.config)
+    chunk_size, overlap = int(cfg["chunking.size"]), int(cfg["chunking.overlap"])
+    check_chunking(chunk_size, overlap)  # before the first model call
     gateway = build_gateway(cfg)
     templates = build_templates(cfg)
     records = load_corpus(args.corpus)
@@ -178,7 +181,7 @@ def cmd_ingest(args) -> int:
     docs = [caption_and_refine(record, gateway, templates) for record in records]
     chunks = []
     for doc in docs:
-        chunks.extend(chunk_document(doc, int(cfg["chunking.size"]), int(cfg["chunking.overlap"])))
+        chunks.extend(chunk_document(doc, chunk_size, overlap))
     index = build_index(chunks, gateway)
     warnings: list[str] = []
     graph = extract_graph(docs, gateway, templates, warnings)

@@ -16,11 +16,8 @@ from .templates import TemplateSet
 
 MAX_SUB_QUERIES = 3
 
-_LINE_PREFIXES = (
-    re.compile(r"^[-*•]+\s+"),
-    re.compile(r"^\(?\d+[.):\]\-:]\s*"),
-    re.compile(r"^[Qq]\d*\s*[.:)\-]\s*"),
-)
+# any run of leading bullets ("- "), numbers ("1.", "(2)") and question tags ("Q1:")
+_LINE_PREFIX = re.compile(r"^(?:[-*•]+\s+|\(?\d+[.):\]\-:]\s*|[Qq]\d*\s*[.:)\-]\s*)*")
 
 
 @dataclass(frozen=True)
@@ -39,15 +36,7 @@ class SubQueryPlan:
 
 def strip_numbering(line: str) -> str:
     """Remove leading bullets and numbering like "1.", "(2)", "Q1:"."""
-    changed = True
-    while changed:
-        changed = False
-        for pattern in _LINE_PREFIXES:
-            stripped = pattern.sub("", line, count=1)
-            if stripped != line:
-                line = stripped
-                changed = True
-    return line.strip()
+    return _LINE_PREFIX.sub("", line, count=1).strip()
 
 
 def parse_sub_questions(response: str) -> list[str]:

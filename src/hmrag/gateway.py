@@ -251,7 +251,8 @@ class ScriptedCaptionBackend:
 
 def json_headers(key_env: str, key_header: str, key_prefix: str = "") -> dict[str, str]:
     """JSON request headers, plus `key_header` carrying the API key read from
-    the environment variable `key_env` when one is named."""
+    the environment variable `key_env` when one is named. A client builds its
+    headers once, when it is built, so a missing key fails before any request."""
     headers = {"Content-Type": "application/json"}
     if key_env:
         key = os.environ.get(key_env)
@@ -299,10 +300,10 @@ class _HTTPModelClient:
         if not config.endpoint:
             raise ConfigError(f"{self.kind} backend needs an endpoint")
         self.config = config
+        self._headers = json_headers(config.api_key_env, "Authorization", "Bearer ")
 
     def _post(self, payload: dict):
-        headers = json_headers(self.config.api_key_env, "Authorization", "Bearer ")
-        response = post_with_retries(self.config, payload, headers)
+        response = post_with_retries(self.config, payload, self._headers)
         try:
             return response.json()
         except ValueError as exc:
@@ -342,12 +343,9 @@ class HTTPEmbeddingBackend(_HTTPModelClient):
     def embed(self, text: str) -> np.ndarray:
         data = self._post({"model": self.config.model_name, "input": [text]})
         try:
-            array = np.array(check_vector_entries(data["data"][0]["embedding"]), dtype=np.float64)
-        except (KeyError, IndexError, TypeError, OverflowError) as exc:
-            raise GatewayError(f"unexpected embedding response shape: {exc}") from exc
-        if not np.isfinite(array).all():
-            raise GatewayError("embedding response has non-finite values")
-        return array
+            return check_vector_entries(data["data"][0]["embedding"])
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise GatewayError(f"unexpected embedding response: {exc}") from exc
 
 
 class HTTPCaptionBackend(_HTTPModelClient):

@@ -13,6 +13,7 @@ an identical corpus with scripted backends yields byte-identical files.
 from __future__ import annotations
 
 import json
+import logging
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ import numpy as np
 
 from .errors import EmbeddingError, trace_warning
 from .templates import TemplateSet
+
+logger = logging.getLogger(__name__)
 
 FUSION_SEPARATOR = "\n\n"
 
@@ -77,16 +80,26 @@ def check_embedding(vector, dim: int) -> np.ndarray:
     return vector
 
 
-def check_vector_entries(values) -> list:
-    """`values` if a non-empty list of int or float entries, else TypeError: numpy would
-    read None as NaN and "1" or True as 1.0. Callers then check their float array is finite."""
+def check_vector_entries(values) -> np.ndarray:
+    """`values` as a float64 row: the rule for a vector read from outside. TypeError
+    unless a non-empty list of int or float entries, since numpy would read None as
+    NaN and "1" or True as 1.0; OverflowError for an int beyond float range;
+    ValueError for a non-finite entry."""
     if type(values) is not list or not values or not set(map(type, values)) <= {int, float}:
         raise TypeError(f"vector is not a non-empty list of numbers: {values!r:.80}")
-    return values
+    row = np.array(values, np.float64)
+    if not np.isfinite(row).all():
+        raise ValueError("vector has a non-finite entry")
+    return row
 
 
 class EmbeddingIndex:
-    """Immutable exact-search index: one (chunk_id, vector, text) per chunk."""
+    """Immutable exact-search index: one (chunk_id, vector, text) per chunk.
+
+    `id_rank[i]` is the place of `chunk_ids[i]` in ascending order, the
+    tie-break of every ranking. Zero rows, which score 0 against any query,
+    are logged once, here.
+    """
 
     def __init__(self, dim: int, chunk_ids: list[str], texts: list[str], matrix: np.ndarray):
         if dim < 1:
@@ -99,6 +112,11 @@ class EmbeddingIndex:
         self.chunk_ids = list(chunk_ids)
         self.texts = list(texts)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        self.id_rank = np.empty(len(chunk_ids), dtype=np.int64)
+        self.id_rank[np.argsort(np.array(chunk_ids, dtype=object))] = np.arange(len(chunk_ids))
+        zero_rows = int(np.count_nonzero(~self.matrix.any(axis=1)))
+        if zero_rows:
+            logger.warning("%d zero-norm index records will score 0", zero_rows)
 
     def __len__(self):
         return len(self.chunk_ids)
@@ -126,12 +144,11 @@ class EmbeddingIndex:
     @classmethod
     def load(cls, path) -> "EmbeddingIndex":
         first_line_of = {}  # chunk_id -> the line that holds it
-        header_read = False
+        dim = None  # from the header, the first non-blank line
 
         def parse(lineno, rec):
-            nonlocal header_read
-            if not header_read:  # the first non-blank line
-                header_read = True
+            nonlocal dim
+            if dim is None:
                 dim, count = rec["dim"], rec["count"]
                 if type(dim) is not int or type(count) is not int:  # a bool is no count
                     raise TypeError(f"header dim and count must be integers: {dim!r}, {count!r}")
@@ -142,27 +159,19 @@ class EmbeddingIndex:
             if first_line_of.setdefault(chunk_id, lineno) != lineno:
                 raise ValueError(f"chunk_id {chunk_id!r} repeats line {first_line_of[chunk_id]}")
             # one float64 row per line: a list of Python floats per row would triple the peak
-            return chunk_id, text, np.array(check_vector_entries(rec["vector"]), np.float64), lineno
+            row = check_vector_entries(rec["vector"])
+            if len(row) != dim:
+                raise ValueError(f"vector has {len(row)} entries, header dim is {dim}")
+            return chunk_id, text, row
 
-        try:
-            lines = _read_jsonl(path, "index record", parse)
-        except OverflowError as exc:  # an integer entry beyond float range
-            raise ValueError(f"bad index record in {path}: {exc}") from exc
+        lines = _read_jsonl(path, "index record", parse)
         if not lines or lines[0][0] < 1:
             raise ValueError(f"{path} does not start with an index header of positive dim")
         (dim, count), records = lines[0], lines[1:]
-        chunk_ids, texts, rows, linenos = zip(*records) if records else ((), (), (), ())
-        for row, lineno in zip(rows, linenos):
-            if len(row) != dim:
-                raise ValueError(f"bad index record at {path} line {lineno}: "
-                                 f"vector has {len(row)} entries, header dim is {dim}")
         if len(records) != count:
             raise ValueError(f"{path}: index header says {count} records, file has {len(records)}")
+        chunk_ids, texts, rows = zip(*records) if records else ((), (), ())
         matrix = np.vstack(rows) if rows else np.empty((0, dim))
-        nonfinite = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
-        if nonfinite.size:
-            raise ValueError(
-                f"bad index record at {path} line {linenos[nonfinite[0]]}: non-finite entry")
         return cls(dim, list(chunk_ids), list(texts), matrix)
 
 
@@ -283,7 +292,7 @@ def _read_jsonl(path, what: str, parse) -> list:
             if line.strip():
                 try:
                     parsed.append(parse(lineno, json.loads(line)))
-                except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
                     raise ValueError(f"bad {what} at {path} line {lineno}: {exc!r}") from exc
     return parsed
 
@@ -312,16 +321,21 @@ def caption_and_refine(record: CorpusRecord, gateway, templates: TemplateSet) ->
     return FusedDocument(record.id, fused, caption=refined, image_ref=record.image_ref)
 
 
+def check_chunking(chunk_size: int, overlap: int) -> None:
+    """ValueError unless windows of `chunk_size` tokens can overlap by `overlap`."""
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be positive")
+    if not 0 <= overlap < chunk_size:
+        raise ValueError(f"overlap must satisfy 0 <= overlap < chunk_size, got {overlap}")
+
+
 def chunk_document(doc: FusedDocument, chunk_size: int = 512, overlap: int = 64) -> list[Chunk]:
     """Whitespace-token windows with stride chunk_size - overlap.
 
     The last window may be short; together the spans cover every token
     at least once.
     """
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be positive")
-    if not 0 <= overlap < chunk_size:
-        raise ValueError(f"overlap must satisfy 0 <= overlap < chunk_size, got {overlap}")
+    check_chunking(chunk_size, overlap)
     tokens = doc.fused_text.split()
     if not tokens:
         raise ValueError(f"document {doc.id!r} has no tokens")

@@ -7,7 +7,6 @@ Ties are broken by ascending chunk_id so rankings are reproducible.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,6 @@ from .errors import EmbeddingError
 from .ingest import EmbeddingIndex, IndexRecord, check_embedding
 from .kernels import cosine_scores
 from .templates import TemplateSet
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TOP_K = 5
 
@@ -45,11 +42,7 @@ def _scores(query_vec: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
     query_vec = check_embedding(query_vec, index.dim)
     if not query_vec.any():
         raise EmbeddingError("query vector must be non-zero")
-    scores = cosine_scores(query_vec, index.matrix)
-    zero_rows = int(np.count_nonzero(~index.matrix.any(axis=1)))
-    if zero_rows:
-        logger.warning("%d zero-norm index records scored 0", zero_rows)
-    return scores
+    return cosine_scores(query_vec, index.matrix)
 
 
 def score_all(query_vec: np.ndarray, index: EmbeddingIndex) -> list[ScoredChunk]:
@@ -65,9 +58,7 @@ def top_k_by_vector(query: str, query_vec: np.ndarray, index: EmbeddingIndex, k:
     if len(index) == 0:
         raise ValueError("cannot retrieve from an empty index")
     scores = _scores(query_vec, index)
-    id_rank = np.empty(len(index), dtype=np.int64)
-    id_rank[np.argsort(np.array(index.chunk_ids, dtype=object), kind="stable")] = np.arange(len(index))
-    order = np.lexsort((id_rank, -scores))
+    order = np.lexsort((index.id_rank, -scores))
     top = tuple(ScoredChunk(index.record(i), float(scores[i])) for i in order[:k])
     return RetrievalResult(query=query, top=top)
 

@@ -78,16 +78,17 @@ def parse_search_response(data: dict, cfg: SearchConfig, raw_payload: str = "") 
 class SerperSearchClient:
     def __init__(self, endpoint: str = DEFAULT_SEARCH_ENDPOINT, api_key_env: str = "SERPER_API_KEY",
                  timeout_s: float = 30.0, retries: int = 2):
-        # ModelBackendConfig rejects a non-positive timeout and negative retries.
+        # ModelBackendConfig rejects a non-positive timeout and negative retries,
+        # before a missing API key is reported.
         self.config = ModelBackendConfig(endpoint, api_key_env=api_key_env,
                                          timeout_s=timeout_s, retries=retries)
+        self._headers = json_headers(api_key_env, "X-API-KEY")
 
     def search(self, query: str, cfg: SearchConfig) -> list[SearchResult]:
         if not query or not query.strip():
             raise ValueError("query must be non-empty")
-        headers = json_headers(self.config.api_key_env, "X-API-KEY")
         payload = {"q": query, "num": cfg.num_results, "hl": cfg.language}
-        response = post_with_retries(self.config, payload, headers)
+        response = post_with_retries(self.config, payload, self._headers)
         try:
             data = response.json()
         except ValueError as exc:

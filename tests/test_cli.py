@@ -192,9 +192,9 @@ def test_disabled_agent_store_is_never_read(world_dir, store_dir, tmp_path, caps
     ("index.jsonl", "index record", {"chunk_id": "extra", "text": "no vector"}, "KeyError"),
     # rows shorter or longer than the header's dim
     ("index.jsonl", "index record", {"chunk_id": "extra", "text": "t", "vector": [1.0]},
-     "vector has 1 entries, header dim is 64"),
+     "ValueError('vector has 1 entries, header dim is 64')"),
     ("index.jsonl", "index record", {"chunk_id": "extra", "text": "t", "vector": [1.0] * 65},
-     "vector has 65 entries, header dim is 64"),
+     "ValueError('vector has 65 entries, header dim is 64')"),
 ])
 def test_malformed_store_line_is_reported_with_file_and_line(
         world_dir, store_dir, tmp_path, capsys, filename, what, bad_line, error):
@@ -359,6 +359,49 @@ def test_ingest_out_under_a_file_fails_before_any_backend_call(
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "afile" in err
     assert backend_calls == []
+
+
+def _config_with(world_dir, tmp_path, *lines):
+    """The world's config file with `lines` appended, which override it."""
+    config = tmp_path / "hmrag.conf"
+    config.write_text(world_dir.paths["config"].read_text(encoding="utf-8")
+                      + "".join(line + "\n" for line in lines), encoding="utf-8")
+    return config
+
+
+@pytest.mark.parametrize("size, overlap, error", [
+    (64, 64, "overlap must satisfy 0 <= overlap < chunk_size, got 64"),
+    (64, 512, "overlap must satisfy 0 <= overlap < chunk_size, got 512"),
+    (0, 0, "chunk_size must be positive"),
+], ids=["overlap_equals_size", "overlap_above_size", "zero_size"])
+def test_bad_chunking_fails_ingest_before_any_backend_call(
+        world_dir, tmp_path, capsys, backend_calls, size, overlap, error):
+    config = _config_with(world_dir, tmp_path, f"chunking.size = {size}",
+                          f"chunking.overlap = {overlap}")
+    code, out, err = run_cli([
+        "ingest", "--corpus", str(world_dir.paths["corpus"]),
+        "--out", str(tmp_path / "store"), "--config", str(config),
+    ], capsys)
+    assert code == 1
+    assert err == f"error: {error}\n"
+    assert backend_calls == []
+
+
+@pytest.mark.parametrize("command", ["query", "eval"])
+def test_unset_api_key_fails_before_any_backend_call(
+        world_dir, store_dir, tmp_path, capsys, monkeypatch, backend_calls, command):
+    posts = []
+    monkeypatch.setattr(gateway_mod.requests, "post", lambda url, **kwargs: posts.append(url))
+    monkeypatch.delenv("HMRAG_UNSET_KEY", raising=False)
+    config = _config_with(world_dir, tmp_path, "web.backend = http",
+                          "web.api_key_env = HMRAG_UNSET_KEY")
+    args = {"query": ["query", "anything?"],
+            "eval": ["eval", "--dataset", str(world_dir.paths["dataset"]),
+                     "--report", str(tmp_path / "report.json")]}[command]
+    code, out, err = run_cli(args + ["--store", str(store_dir), "--config", str(config)], capsys)
+    assert code == 1
+    assert err == "error: environment variable 'HMRAG_UNSET_KEY' is not set\n"
+    assert backend_calls == [] and posts == []
 
 
 _HTTP_ROLES = ("chat", "lightweight_chat", "expert_chat", "embedding", "caption")

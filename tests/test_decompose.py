@@ -1,6 +1,11 @@
-import pytest
+import itertools
+import re
 
-from hmrag.decompose import DecompositionAgent, SubQueryPlan, parse_sub_questions
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hmrag.decompose import DecompositionAgent, SubQueryPlan, parse_sub_questions, strip_numbering
 from hmrag.errors import ClassificationParseError
 from hmrag.gateway import ScriptedChatBackend
 from hmrag.templates import TemplateSet
@@ -135,3 +140,40 @@ def test_parse_ignores_blank_lines_and_prefixes_across_formats():
         "alpha?", "beta?", "gamma?", "delta?", "epsilon?",
         "zeta?", "eta?", "theta?", "iota?", "kappa?",
     ]
+
+
+_OLD_LINE_PREFIXES = (
+    re.compile(r"^[-*•]+\s+"),
+    re.compile(r"^\(?\d+[.):\]\-:]\s*"),
+    re.compile(r"^[Qq]\d*\s*[.:)\-]\s*"),
+)
+
+
+def strip_numbering_by_fixpoint(line):
+    """The former `strip_numbering`: strip one prefix at a time until none is left."""
+    changed = True
+    while changed:
+        changed = False
+        for pattern in _OLD_LINE_PREFIXES:
+            stripped = pattern.sub("", line, count=1)
+            if stripped != line:
+                line = stripped
+                changed = True
+    return line.strip()
+
+
+# whole and broken prefixes, separators and text, so that runs of several prefixes are common
+_PREFIX_PIECES = ["- ", "-", "•", "*", " ", "\t", "(1)", "2.", "3", ")", "Q1:", "q -", "Q", ":", "x"]
+
+
+def test_strip_numbering_matches_the_fixpoint_loop_on_every_run_of_up_to_four_pieces():
+    for n in range(5):
+        for pieces in itertools.product(_PREFIX_PIECES, repeat=n):
+            line = "".join(pieces)
+            assert strip_numbering(line) == strip_numbering_by_fixpoint(line), line
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_PREFIX_PIECES) | st.text(max_size=3), max_size=12).map("".join))
+def test_strip_numbering_matches_the_fixpoint_loop(line):
+    assert strip_numbering(line) == strip_numbering_by_fixpoint(line)

@@ -220,9 +220,8 @@ def test_http_chat_wire_format(monkeypatch):
 
 def test_http_chat_missing_api_key_env(monkeypatch):
     monkeypatch.delenv("MISSING_KEY", raising=False)
-    backend = HTTPChatBackend(ModelBackendConfig(endpoint="http://x", api_key_env="MISSING_KEY"))
-    with pytest.raises(ConfigError):
-        backend.complete(user_turns("hi"), DecodingParams())
+    with pytest.raises(ConfigError, match="'MISSING_KEY' is not set"):
+        HTTPChatBackend(ModelBackendConfig(endpoint="http://x", api_key_env="MISSING_KEY"))
 
 
 def test_http_retries_then_succeeds(monkeypatch):

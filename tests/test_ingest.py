@@ -170,7 +170,8 @@ def test_index_load_rejects_an_integer_beyond_float_range(tmp_path):
     path = tmp_path / "index.jsonl"
     path.write_text('{"dim": 2, "count": 1}\n{"chunk_id": "a", "text": "t", "vector": [1%s, 0]}\n'
                     % ("0" * 400), encoding="utf-8")
-    with pytest.raises(ValueError, match=f"bad index record in {re.escape(str(path))}"):
+    with pytest.raises(ValueError, match=f"bad index record at {re.escape(str(path))} line 2: "
+                                         "OverflowError"):
         EmbeddingIndex.load(path)
 
 

@@ -6,10 +6,15 @@ others: a failed chat request (summary requests included), a reworded
 agent answer (so a sub-query has several distinct answers to summarize),
 a wrong-length query embedding and a malformed search payload. The serial
 and the concurrent run must then give byte-identical normalized traces.
+
+A search that hangs until its question's fan-out has given up on it must
+leave nothing in any other question's trace, and no thread behind.
 """
 
 import concurrent.futures
+import contextvars
 import json
+import threading
 import zlib
 
 import pytest
@@ -108,3 +113,80 @@ def test_seeded_faults_give_the_same_traces_serially_and_from_eight_threads(faul
         assert needle in text, needle
     assert any('"error"' not in outcome for outcome in serial)
     assert any("reworded" in outcome for outcome in serial)
+
+
+DEADLINE_S = 1.0
+# the question whose run_query is in progress in this context; agent threads see it too
+_asking = contextvars.ContextVar("asking")
+
+
+class HangingSearch:
+    """The world's search, hanging for the chosen questions until `release[question]`
+    is set; it then makes a late embedding call and fails."""
+
+    def __init__(self, inner, hung_questions):
+        self._inner = inner
+        self._hung = hung_questions
+        self.gateway = None
+        self.release = {q: threading.Event() for q in hung_questions}
+        self.late = []  # questions whose search made its late call
+
+    def search(self, query, cfg):
+        question = _asking.get()
+        if question in self._hung and not self.release[question].is_set():
+            assert self.release[question].wait(5), "the hang was never released"
+            self.gateway.embed_text(late_detail(question))
+            self.late.append(question)
+            raise BackendUnavailableError("late failure of a timed-out search")
+        return self._inner.search(query, cfg)
+
+
+def late_detail(question):
+    return f"late call {zlib.crc32(question.encode('utf-8')):08x}"
+
+
+def _asked(pipeline, question):
+    _asking.set(question)
+    return _outcome(pipeline, question)
+
+
+def test_a_hung_search_leaks_nothing_into_other_questions_and_no_thread():
+    threads_before = set(threading.enumerate())
+    start = threading.active_count()
+    world = build_world(n=20)
+    questions = [format_eval_question(r) for r in world.eval_records]
+    clean = world.make_pipeline()
+    baseline = {q: _asked(clean, q) for q in questions}
+
+    hung = {q for q in questions if chosen("hang", q, 6)}
+    search = HangingSearch(StubSearchClient(world.web_fixture), hung)
+    pipeline = world.make_pipeline(web_client=search, agent_timeout_s=DEADLINE_S)
+    search.gateway = pipeline._gateway
+    fan_out = pipeline._fan_out
+
+    def fan_out_then_release(query, entry):
+        try:
+            return fan_out(query, entry)
+        finally:  # the fan-out has returned, so a hung search is past its deadline
+            event = search.release.get(_asking.get())
+            if event is not None:
+                event.set()
+
+    pipeline._fan_out = fan_out_then_release
+    with concurrent.futures.ThreadPoolExecutor(max_workers=THREADS) as pool:
+        outcomes = dict(zip(questions, pool.map(lambda q: _asked(pipeline, q), questions)))
+    for thread in set(threading.enumerate()) - threads_before:
+        thread.join(5)  # each hung search ends once released, and idle workers then exit
+
+    assert 0 < len(hung) < len(questions)
+    assert sorted(search.late) == sorted(hung)
+    # no thread of this test is left; threads of earlier tests may have ended meanwhile
+    assert set(threading.enumerate()) <= threads_before
+    assert threading.active_count() <= start
+    for question, outcome in outcomes.items():
+        assert "late failure" not in outcome
+        if question in hung:
+            assert "web agent timed out after 1.0s" in outcome
+            assert not any(late_detail(q) in outcome for q in hung - {question})
+        else:
+            assert outcome == baseline[question]

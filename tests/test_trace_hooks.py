@@ -59,3 +59,27 @@ def test_refine_call_is_a_direct_child_of_the_decide_span(tracing):
                if s[name] == "gateway.chat" and s[parent] == decides[0][tracing._ID]]
     assert len(refines) == 1
     assert refines[0][tracing._END] > refines[0][tracing._START]
+
+
+def test_every_query_call_site_the_tracer_wraps_fires_on_one_question(tracing):
+    """A call site the query path stops calling keeps its name, so
+    `test_benchmark_tracer_finds_every_call_site` passes, but its per-layer
+    metric reads 0. Captions are made only at ingest."""
+    world = build_world(n=20)
+    pipeline = world.make_pipeline()
+    tracer = tracing.Tracer()
+    tracer.install(hmrag)
+    fired = set()
+    try:
+        sites = [(owner, attr, f"{owner.__name__}.{attr}") for owner, attr, _ in tracer._restore]
+        for owner, attr, site in sites:
+            traced = owner.__dict__[attr]
+
+            def counted(*args, _site=site, _traced=traced, **kwargs):
+                fired.add(_site)
+                return _traced(*args, **kwargs)
+            setattr(owner, attr, counted)  # uninstall puts the originals back
+        pipeline.run_query(format_eval_question(world.eval_records[0]))
+    finally:
+        tracer.uninstall()
+    assert {site for _, _, site in sites} - fired == {"ModelGateway.caption_image"}

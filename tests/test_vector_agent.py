@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -64,6 +65,21 @@ def test_score_zero_norm_record_scores_zero():
     assert scored[0].score == 0.0
     assert scored[1].score == pytest.approx(1.0)
 
+
+def test_zero_rows_are_logged_once_when_the_index_is_built(caplog):
+    with caplog.at_level(logging.WARNING, logger="hmrag"):
+        index = make_index([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+        at_build = [record.getMessage() for record in caplog.records]
+        for _ in range(3):
+            top_k_by_vector("q", np.array([1.0, 0.0]), index, k=3)
+            score_all(np.array([0.0, 1.0]), index)
+    assert at_build == ["2 zero-norm index records will score 0"]
+    assert [record.getMessage() for record in caplog.records] == at_build
+
+
+def test_id_rank_is_each_chunk_ids_place_in_ascending_order():
+    index = make_index(np.eye(4), ids=["zz", "aa", "mm", "ab"])
+    assert index.id_rank.tolist() == [3, 0, 2, 1]
 
 def test_top_k_fixture_ordering():
     index = make_index([[1.0, 0.0], [0.0, 1.0], [0.7071, 0.7071]], ids=["d1", "d2", "d3"])

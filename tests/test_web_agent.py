@@ -100,9 +100,8 @@ def test_live_client_wire_format(monkeypatch):
 
 def test_live_client_requires_api_key(monkeypatch):
     monkeypatch.delenv("SERPER_API_KEY", raising=False)
-    client = SerperSearchClient()
-    with pytest.raises(ConfigError):
-        client.search("q", SearchConfig())
+    with pytest.raises(ConfigError, match="'SERPER_API_KEY' is not set"):
+        SerperSearchClient()
 
 
 def test_live_client_unreachable(monkeypatch):
