@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from contextlib import nullcontext
 from pathlib import Path
 
 from . import config as config_mod
@@ -194,25 +194,33 @@ def cmd_ingest(args) -> int:
     return 0
 
 
+def _check_writable(path) -> None:
+    """Raise OSError if `path` cannot be written, without creating or changing it:
+    checked before any model call, so a bad path costs none."""
+    target = Path(path)
+    if target.exists():
+        open(target, "a", encoding="utf-8").close()  # appends nothing
+    elif not os.access(target.parent, os.W_OK | os.X_OK):  # refuses a missing directory too
+        raise OSError(f"cannot create {path}: its directory is missing or not writable")
+
+
 def cmd_query(args) -> int:
-    pipeline = _make_pipeline(args)
-    # a trace file is opened before the query, so an unwritable path costs no model call
-    with open(args.trace, "w", encoding="utf-8") if args.trace else nullcontext(sys.stdout) as out:
-        trace = pipeline.run_query(args.question)
-        print(trace.to_json(), file=out)
     if args.trace:
+        _check_writable(args.trace)
+    trace = _make_pipeline(args).run_query(args.question)
+    if args.trace:  # written only once the query has succeeded
+        Path(args.trace).write_text(trace.to_json() + "\n", encoding="utf-8")
         print(trace.final_answer)
+    else:
+        print(trace.to_json())
     return 0
 
 
 def cmd_eval(args) -> int:
-    pipeline = _make_pipeline(args)
-    # opened before the first question, so an unwritable path costs no model call,
-    # and for appending, so a run that fails leaves an existing report as it was
-    open(args.report, "a", encoding="utf-8").close()
-    report = run_eval(pipeline, args.dataset)
-    with open(args.report, "w", encoding="utf-8") as out:
-        out.write(json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
+    _check_writable(args.report)
+    report = run_eval(_make_pipeline(args), args.dataset)
+    Path(args.report).write_text(  # only once every question has run
+        json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"accuracy {report['accuracy']:.4f} "
           f"({report['correct']}/{report['total']}, {report['skipped']} skipped)")
     return 0

@@ -88,19 +88,18 @@ class CallRecord:
     detail: str
 
 
-# the call list of the query running in this context; None outside CallLog.collect()
+# the call list of the work running in this context; None outside CallLog.collect()
 _open_calls: ContextVar[list[CallRecord] | None] = ContextVar("hmrag_open_calls", default=None)
-_calls_lock = threading.Lock()  # fan-out threads of one query append to one list
+_calls_lock = threading.Lock()  # threads a caller starts in copies of its context share its list
 
 
 class CallLog:
     """Collects each query's backend calls for its trace.
 
     `collect()` opens a fresh list in the current context, and `record`
-    appends to whatever list is open there. Threads started by
-    `run_in_threads` run in a copy of the query's context and share its
-    list, so concurrent queries never see each other's calls; a call made
-    outside `collect()` is dropped.
+    appends to whatever list is open there; a call made outside `collect()`
+    is dropped. A task of `run_in_threads` records into a list of its own,
+    which joins the caller's list only if the task finishes in time.
     """
 
     def record(self, kind: str, role: str, detail: str) -> None:
@@ -123,15 +122,25 @@ def run_in_threads(calls, timeout: float | None = None) -> list:
     """Run each zero-argument call on its own thread and wait up to `timeout`
     seconds for all of them: the one way a query runs work concurrently.
 
-    Each call runs in a copy of the caller's context, so its backend calls,
-    late ones too, land only in the caller's call list. Returns, per call, its future if it has
-    finished by then, else None; an unfinished call ends in the background.
+    Each call runs in a copy of the caller's context with a call list of its
+    own. Returns, per call, its future if it has finished by then, else None,
+    and appends the finished calls' lists to the caller's list in call order;
+    an unfinished call ends in the background and adds none of its calls.
     """
+    caller_calls = _open_calls.get()
+    contexts = [copy_context() for _ in calls]
+    for context in contexts:
+        context.run(_open_calls.set, None if caller_calls is None else [])
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=len(calls) or 1)
-    futures = [pool.submit(copy_context().run, call) for call in calls]
+    futures = [pool.submit(context.run, call) for context, call in zip(contexts, calls)]
     done, _ = concurrent.futures.wait(futures, timeout=timeout)
     pool.shutdown(wait=False)  # so an unfinished call cannot stall the caller
-    return [future if future in done else None for future in futures]
+    finished = [future if future in done else None for future in futures]
+    if caller_calls is not None:
+        with _calls_lock:
+            caller_calls.extend(record for context, future in zip(contexts, finished)
+                                if future is not None for record in context[_open_calls])
+    return finished
 
 
 def load_fixture(path, what: str, valid, wanted: str):

@@ -42,7 +42,7 @@ class KeywordSet:
 def _normalize_keywords(values) -> tuple[str, ...]:
     seen: dict[str, None] = {}
     for value in values:
-        keyword = str(value).casefold().strip()
+        keyword = value.casefold().strip()
         if keyword:
             seen.setdefault(keyword, None)
     return tuple(seen)
@@ -205,6 +205,7 @@ def _parse_keyword_response(response: str) -> KeywordSet | None:
         return None
     local = data.get("local_keywords", [])
     global_ = data.get("global_keywords", [])
-    if not isinstance(local, list) or not isinstance(global_, list):
+    if not all(isinstance(keywords, list) and all(isinstance(k, str) for k in keywords)
+               for keywords in (local, global_)):
         return None
     return make_keyword_set(local, global_)

@@ -94,16 +94,11 @@ class QueryTrace:
     timings: dict[str, float] = field(default_factory=dict)
 
     def normalized(self) -> dict:
-        """Comparison form: timing fields dropped, call order canonicalized.
-
-        Fan-out threads record calls in completion order, so the raw call
-        list is not stable across runs even when the calls themselves are.
-        """
+        """Comparison form: the trace with its timing fields dropped."""
         data = asdict(self)
         del data["timings"]
         for entry in data["entries"]:
             del entry["timings"]
-        data["calls"].sort(key=lambda c: (c["kind"], c["role"], c["detail"]))
         return data
 
     def to_json(self) -> str:
@@ -236,7 +231,7 @@ class Pipeline:
                 raise PipelineError(f"backend call failed: {exc}", trace=trace) from exc
             finally:
                 trace.timings["total_s"] = time.perf_counter() - started
-                trace.calls = list(records)
+                trace.calls = records
 
 
 @dataclass(frozen=True)

@@ -223,6 +223,29 @@ def test_missing_dataset_is_one_error_line(world_dir, store_dir, tmp_path, capsy
     assert report.read_text(encoding="utf-8") == '{"accuracy": 1.0}\n'
 
 
+@pytest.mark.parametrize("existing", [True, False], ids=["existing_file", "no_file"])
+@pytest.mark.parametrize("command, failure", [
+    ("query", "no scripted response"),  # the chat script lacks the question
+    ("eval", "missing.jsonl"),
+])
+def test_failed_run_leaves_its_output_file_as_it_was(
+        world_dir, store_dir, tmp_path, capsys, command, failure, existing):
+    out = tmp_path / "out.json"
+    earlier = b'{"from": "an earlier run"}\n'
+    if existing:
+        out.write_bytes(earlier)
+    args = {"query": ["query", "--trace", str(out), "A question nobody scripted?"],
+            "eval": ["eval", "--dataset", str(tmp_path / "missing.jsonl"), "--report", str(out)]}
+    code, _, err = run_cli(args[command] + [
+        "--store", str(store_dir), "--config", str(world_dir.paths["config"])], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and failure in err.splitlines()[0]
+    if existing:
+        assert out.read_bytes() == earlier
+    else:
+        assert not out.exists()
+
+
 def test_unwritable_report_fails_before_any_question(
         world_dir, store_dir, tmp_path, capsys, monkeypatch):
     def no_eval(*args, **kwargs):

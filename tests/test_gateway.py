@@ -5,6 +5,7 @@ import itertools
 import json
 import random
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hmrag.gateway import (
     ModelBackendConfig,
     ScriptedCaptionBackend,
     ScriptedChatBackend,
+    run_in_threads,
 )
 from hmrag.web_agent import SearchConfig, SearchResult, SerperSearchClient
 
@@ -427,6 +429,66 @@ def test_gateway_without_call_log_records_nothing(hashing_backend):
         gateway.complete_chat("hi")
         gateway.embed_text("hello")
     assert records == []
+
+
+def test_run_in_threads_joins_finished_tasks_calls_in_task_order(hashing_backend):
+    log = CallLog()
+    gateway = make_gateway(embedding=hashing_backend, call_log=log)
+    second_done = threading.Event()
+
+    def first():
+        gateway.embed_text("first, before the second task")
+        assert second_done.wait(5)
+        gateway.embed_text("first, after the second task")
+
+    def second():
+        gateway.embed_text("second")
+        second_done.set()
+
+    with log.collect() as records:
+        gateway.embed_text("before")
+        futures = run_in_threads([first, second], timeout=30)
+        gateway.embed_text("after")
+    assert [future.result() for future in futures] == [None, None]
+    assert [r.detail for r in records] == [
+        "before", "first, before the second task", "first, after the second task", "second",
+        "after"]
+
+
+def test_run_in_threads_drops_every_call_of_a_task_unfinished_at_the_deadline(hashing_backend):
+    log = CallLog()
+    gateway = make_gateway(embedding=hashing_backend, call_log=log)
+    hung_started, release, late_call_made = threading.Event(), threading.Event(), threading.Event()
+
+    def hung():
+        gateway.embed_text("hung, before the deadline")
+        hung_started.set()
+        assert release.wait(5)
+        gateway.embed_text("hung, after the deadline")
+        late_call_made.set()
+
+    def quick():
+        assert hung_started.wait(5)
+        gateway.embed_text("quick")
+
+    with log.collect() as records:
+        futures = run_in_threads([hung, quick], timeout=1.0)
+        release.set()
+        assert late_call_made.wait(5)
+        gateway.embed_text("after")
+    assert futures[0] is None and futures[1] is not None
+    assert [r.detail for r in records] == ["quick", "after"]
+
+
+def test_run_in_threads_outside_collect_records_nothing(hashing_backend):
+    log = CallLog()
+    gateway = make_gateway(embedding=hashing_backend, call_log=log)
+
+    def task():
+        gateway.embed_text("outside")
+        return gateway_mod._open_calls.get()  # the list a call would be recorded into
+
+    assert [future.result() for future in run_in_threads([task, task])] == [None, None]
 
 
 def test_scripted_chat_from_file(tmp_path):

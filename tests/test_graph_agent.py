@@ -43,8 +43,14 @@ def test_extract_keywords_parses_json():
     assert keywords == KeywordSet(local=("granite",), global_=("rock classification",))
 
 
-def test_extract_keywords_fallback_on_malformed_response():
-    chat = ScriptedChatBackend().add(keyword_turns("Which rocks contain quartz?"), "oops")
+@pytest.mark.parametrize("response", [
+    "oops",
+    '{"local_keywords": ["quartz", null], "global_keywords": []}',
+    '{"local_keywords": ["quartz"], "global_keywords": [3]}',
+    '{"local_keywords": [{"a": 1}], "global_keywords": ["rocks"]}',
+], ids=["not_json", "null_keyword", "number_keyword", "object_keyword"])
+def test_extract_keywords_fallback_on_malformed_response(response):
+    chat = ScriptedChatBackend().add(keyword_turns("Which rocks contain quartz?"), response)
     agent = GraphAgent(make_gateway(chat=chat), chain_graph(), templates=TEMPLATES)
     warnings = []
     keywords = agent.extract_keywords("Which rocks contain quartz?", warnings)

@@ -105,6 +105,27 @@ def _keys_anywhere(value, key):
     return False
 
 
+# the stages of a single-intent query, in the order of its raw calls
+_STAGES = ("decompose", "vector", "graph", "web", "summarize", "refine")
+_STAGE_TEMPLATES = {
+    "judge_intent": "decompose", "decompose": "decompose", "keywords": "graph",
+    "graph_answer": "graph", "web_answer": "web", "summarize": "summarize",
+    "refine_lightweight": "refine", "refine_expert": "refine",
+}
+
+
+def _call_stage(call, contextual_query):
+    if call["kind"] == "search":
+        return "web"
+    if call["kind"] == "embedding":  # the vector agent embeds the query, the graph agent the rest
+        return "vector" if call["detail"] == contextual_query[:120] else "graph"
+    if call["detail"].startswith("Question ("):
+        return "vector"
+    (stage,) = {stage for name, stage in _STAGE_TEMPLATES.items()
+                if call["detail"].startswith(TEMPLATES.text(name).split("{", 1)[0][:40])}
+    return stage
+
+
 def test_trace_json_shape(small_world):
     trace = small_world.make_pipeline().run_query(format_eval_question(small_world.eval_records[0]))
     data = json.loads(trace.to_json())
@@ -122,9 +143,21 @@ def test_trace_json_shape(small_world):
 
     normalized = trace.normalized()
     assert not _keys_anywhere(normalized, "timings")
-    keys = [(c["kind"], c["role"], c["detail"]) for c in normalized["calls"]]
-    assert keys == sorted(keys)
-    assert len(keys) == len(data["calls"])
+    assert normalized["calls"] == data["calls"]  # the raw order, not re-sorted
+
+    # the raw calls follow the query's stages in order, each agent's calls in its own order
+    contextual = entry["contextual_query"]
+    stages = [_call_stage(c, contextual) for c in data["calls"]]
+    assert stages == sorted(stages, key=_STAGES.index)
+    assert set(stages) == set(_STAGES)
+    kinds = {stage: [c["kind"] for c, s in zip(data["calls"], stages) if s == stage]
+             for stage in _STAGES}
+    assert kinds["vector"] == ["embedding", "chat"]
+    assert kinds["web"] == ["search", "chat"]
+    assert kinds["graph"][0] == kinds["graph"][-1] == "chat"
+    assert set(kinds["graph"][1:-1]) == {"embedding"}
+    summaries = [c["detail"] for c, s in zip(data["calls"], stages) if s == "summarize"]
+    assert len(summaries) == len({c["text"] for c in entry["candidates"] if c["summary"]})
 
 
 def test_trace_records_every_backend_call(small_world):

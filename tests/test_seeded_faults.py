@@ -8,7 +8,9 @@ a wrong-length query embedding and a malformed search payload. The serial
 and the concurrent run must then give byte-identical normalized traces.
 
 A search that hangs until its question's fan-out has given up on it must
-leave nothing in any other question's trace, and no thread behind.
+leave nothing in any trace, its own included, and no thread behind: its
+question's trace is the same whether the hang ends before or after that
+question's run_query returns.
 """
 
 import concurrent.futures
@@ -150,6 +152,40 @@ def _asked(pipeline, question):
     return _outcome(pipeline, question)
 
 
+def _ask_with_hangs(world, questions, hung, release_after_query):
+    """Every question from eight threads, with the search hanging for the `hung`
+    ones. Each hang is released once its question's fan-out has returned, or
+    once its run_query has. Returns the outcomes and the questions whose
+    search made its late call."""
+    search = HangingSearch(StubSearchClient(world.web_fixture), hung)
+    pipeline = world.make_pipeline(web_client=search, agent_timeout_s=DEADLINE_S)
+    search.gateway = pipeline._gateway
+    fan_out = pipeline._fan_out
+
+    def release():
+        event = search.release.get(_asking.get())
+        if event is not None:
+            event.set()
+
+    def fan_out_then_release(query, entry):
+        try:
+            return fan_out(query, entry)
+        finally:  # the fan-out has returned, so a hung search is past its deadline
+            release()
+
+    def ask(question):
+        try:
+            return _asked(pipeline, question)
+        finally:
+            release()  # a no-op once the fan-out has released the hang
+
+    if not release_after_query:
+        pipeline._fan_out = fan_out_then_release
+    with concurrent.futures.ThreadPoolExecutor(max_workers=THREADS) as pool:
+        outcomes = dict(zip(questions, pool.map(ask, questions)))
+    return outcomes, search.late
+
+
 def test_a_hung_search_leaks_nothing_into_other_questions_and_no_thread():
     threads_before = set(threading.enumerate())
     start = threading.active_count()
@@ -157,36 +193,27 @@ def test_a_hung_search_leaks_nothing_into_other_questions_and_no_thread():
     questions = [format_eval_question(r) for r in world.eval_records]
     clean = world.make_pipeline()
     baseline = {q: _asked(clean, q) for q in questions}
-
     hung = {q for q in questions if chosen("hang", q, 6)}
-    search = HangingSearch(StubSearchClient(world.web_fixture), hung)
-    pipeline = world.make_pipeline(web_client=search, agent_timeout_s=DEADLINE_S)
-    search.gateway = pipeline._gateway
-    fan_out = pipeline._fan_out
-
-    def fan_out_then_release(query, entry):
-        try:
-            return fan_out(query, entry)
-        finally:  # the fan-out has returned, so a hung search is past its deadline
-            event = search.release.get(_asking.get())
-            if event is not None:
-                event.set()
-
-    pipeline._fan_out = fan_out_then_release
-    with concurrent.futures.ThreadPoolExecutor(max_workers=THREADS) as pool:
-        outcomes = dict(zip(questions, pool.map(lambda q: _asked(pipeline, q), questions)))
-    for thread in set(threading.enumerate()) - threads_before:
-        thread.join(5)  # each hung search ends once released, and idle workers then exit
-
     assert 0 < len(hung) < len(questions)
-    assert sorted(search.late) == sorted(hung)
+
+    runs = {}
+    for release_after_query in (False, True):
+        outcomes, late = _ask_with_hangs(world, questions, hung, release_after_query)
+        for thread in set(threading.enumerate()) - threads_before:
+            thread.join(5)  # each hung search ends once released, and idle workers then exit
+        assert sorted(late) == sorted(hung)
+        runs[release_after_query] = outcomes
+
     # no thread of this test is left; threads of earlier tests may have ended meanwhile
     assert set(threading.enumerate()) <= threads_before
     assert threading.active_count() <= start
-    for question, outcome in outcomes.items():
-        assert "late failure" not in outcome
-        if question in hung:
-            assert "web agent timed out after 1.0s" in outcome
-            assert not any(late_detail(q) in outcome for q in hung - {question})
-        else:
-            assert outcome == baseline[question]
+    for outcomes in runs.values():
+        for question, outcome in outcomes.items():
+            assert "late failure" not in outcome
+            assert not any(late_detail(q) in outcome for q in hung)
+            if question in hung:
+                assert "web agent timed out after 1.0s" in outcome
+            else:
+                assert outcome == baseline[question]
+    # a hung question's outcome does not depend on when its hang ends
+    assert runs[False] == runs[True]

@@ -12,7 +12,7 @@ from hmrag.pipeline import format_eval_question
 
 from world import build_world
 
-WORLD_TRACES_SHA256 = "ba5af7c48b8326cf5b5a0e935701bc9001e6738aac00cbe810def2f01455599c"
+WORLD_TRACES_SHA256 = "c7215f63314d0cf35c6ee5b24c2b6c3fba316823a9156569408dddf8e257f1cf"
 
 ALL_AGENTS = ("vector", "graph", "web")
 PIPELINES = [  # (enabled agents, decision stage on)
