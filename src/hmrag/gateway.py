@@ -79,7 +79,7 @@ class ModelBackendConfig:
             raise ValueError("retries must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CallRecord:
     """One backend call, as surfaced in query traces."""
 
@@ -90,7 +90,6 @@ class CallRecord:
 
 # the call list of the work running in this context; None outside CallLog.collect()
 _open_calls: ContextVar[list[CallRecord] | None] = ContextVar("hmrag_open_calls", default=None)
-_calls_lock = threading.Lock()  # threads a caller starts in copies of its context share its list
 
 
 class CallLog:
@@ -99,14 +98,14 @@ class CallLog:
     `collect()` opens a fresh list in the current context, and `record`
     appends to whatever list is open there; a call made outside `collect()`
     is dropped. A task of `run_in_threads` records into a list of its own,
-    which joins the caller's list only if the task finishes in time.
+    which joins the caller's list only if the task finishes in time. Threads
+    that share a list need no lock: `list.append` is atomic.
     """
 
     def record(self, kind: str, role: str, detail: str) -> None:
         calls = _open_calls.get()
         if calls is not None:
-            with _calls_lock:
-                calls.append(CallRecord(kind, role, detail[:120]))
+            calls.append(CallRecord(kind, role, detail[:120]))
 
     @contextmanager
     def collect(self):
@@ -137,9 +136,8 @@ def run_in_threads(calls, timeout: float | None = None) -> list:
     pool.shutdown(wait=False)  # so an unfinished call cannot stall the caller
     finished = [future if future in done else None for future in futures]
     if caller_calls is not None:
-        with _calls_lock:
-            caller_calls.extend(record for context, future in zip(contexts, finished)
-                                if future is not None for record in context[_open_calls])
+        caller_calls.extend(record for context, future in zip(contexts, finished)
+                            if future is not None for record in context[_open_calls])
     return finished
 
 

@@ -8,10 +8,13 @@ a chat model for a line-delimited triplet format.
 
 Persistence is JSON-lines throughout and deterministic: rebuilding from
 an identical corpus with scripted backends yields byte-identical files.
+An index line holds its vector as the base64 text of its little-endian
+float64 bytes, so a round trip is bit-exact.
 """
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 from collections import namedtuple
@@ -97,8 +100,9 @@ class EmbeddingIndex:
     """Immutable exact-search index: one (chunk_id, vector, text) per chunk.
 
     `id_rank[i]` is the place of `chunk_ids[i]` in ascending order, the
-    tie-break of every ranking. Zero rows, which score 0 against any query,
-    are logged once, here.
+    tie-break of every ranking. Every entry must be finite, so that what
+    saves also loads. Zero rows, which score 0 against any query, are
+    logged once, here.
     """
 
     def __init__(self, dim: int, chunk_ids: list[str], texts: list[str], matrix: np.ndarray):
@@ -112,6 +116,8 @@ class EmbeddingIndex:
         self.chunk_ids = list(chunk_ids)
         self.texts = list(texts)
         self.matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("index matrix has a non-finite entry")
         self.id_rank = np.empty(len(chunk_ids), dtype=np.int64)
         self.id_rank[np.argsort(np.array(chunk_ids, dtype=object))] = np.arange(len(chunk_ids))
         zero_rows = int(np.count_nonzero(~self.matrix.any(axis=1)))
@@ -136,43 +142,57 @@ class EmbeddingIndex:
         return IndexRecord(self.chunk_ids[i], self.texts[i])
 
     def save(self, path) -> None:
+        """One header line, then per row `{"chunk_id", "vector", "text"}` with `vector` the
+        base64 text of the row's little-endian float64 bytes."""
         with open(path, "w", encoding="utf-8") as fh:
             _write_line(fh, {"dim": self.dim, "count": len(self)})
-            for chunk_id, row, text in zip(self.chunk_ids, self.matrix, self.texts):
-                _write_line(fh, {"chunk_id": chunk_id, "vector": row.tolist(), "text": text})
+            rows = self.matrix.astype("<f8", copy=False)
+            for chunk_id, row, text in zip(self.chunk_ids, rows, self.texts):
+                vector = base64.b64encode(row.tobytes()).decode("ascii")
+                _write_line(fh, {"chunk_id": chunk_id, "vector": vector, "text": text})
 
     @classmethod
     def load(cls, path) -> "EmbeddingIndex":
-        first_line_of = {}  # chunk_id -> the line that holds it
-        dim = None  # from the header, the first non-blank line
+        """The index `save` wrote; a `vector` that is a list of numbers, as older
+        versions wrote it, loads too."""
+        first_line_of = {}  # chunk_id -> the line that holds it, in file order
+        texts = []
+        rows = bytearray()  # every row's float64 bytes, in file order: one copy of the matrix
+        dim = count = None  # from the header, the first non-blank line
 
         def parse(lineno, rec):
-            nonlocal dim
+            nonlocal dim, count
             if dim is None:
                 dim, count = rec["dim"], rec["count"]
                 if type(dim) is not int or type(count) is not int:  # a bool is no count
                     raise TypeError(f"header dim and count must be integers: {dim!r}, {count!r}")
-                return dim, count
-            chunk_id, text = rec["chunk_id"], rec["text"]
+                return
+            chunk_id, text, vector = rec["chunk_id"], rec["text"], rec["vector"]
             if type(chunk_id) is not str or type(text) is not str:
                 raise TypeError("chunk_id and text must be strings")
             if first_line_of.setdefault(chunk_id, lineno) != lineno:
                 raise ValueError(f"chunk_id {chunk_id!r} repeats line {first_line_of[chunk_id]}")
-            # one float64 row per line: a list of Python floats per row would triple the peak
-            row = check_vector_entries(rec["vector"])
-            if len(row) != dim:
-                raise ValueError(f"vector has {len(row)} entries, header dim is {dim}")
-            return chunk_id, text, row
+            if type(vector) is str:
+                row = base64.b64decode(vector, validate=True)
+                if len(row) != 8 * dim:
+                    raise ValueError(f"vector has {len(row)} bytes, header dim {dim} needs {8 * dim}")
+                if not np.isfinite(np.frombuffer(row, "<f8")).all():
+                    raise ValueError("vector has a non-finite entry")
+            else:
+                entries = check_vector_entries(vector)
+                if len(entries) != dim:
+                    raise ValueError(f"vector has {len(entries)} entries, header dim is {dim}")
+                row = entries.astype("<f8", copy=False).tobytes()
+            texts.append(text)
+            rows.extend(row)
 
-        lines = _read_jsonl(path, "index record", parse)
-        if not lines or lines[0][0] < 1:
+        _read_jsonl(path, "index record", parse)
+        if dim is None or dim < 1:
             raise ValueError(f"{path} does not start with an index header of positive dim")
-        (dim, count), records = lines[0], lines[1:]
-        if len(records) != count:
-            raise ValueError(f"{path}: index header says {count} records, file has {len(records)}")
-        chunk_ids, texts, rows = zip(*records) if records else ((), (), ())
-        matrix = np.vstack(rows) if rows else np.empty((0, dim))
-        return cls(dim, list(chunk_ids), list(texts), matrix)
+        if len(texts) != count:
+            raise ValueError(f"{path}: index header says {count} records, file has {len(texts)}")
+        matrix = np.frombuffer(rows, "<f8").reshape(len(texts), dim)
+        return cls(dim, list(first_line_of), texts, matrix)
 
 
 @dataclass

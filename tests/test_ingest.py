@@ -1,3 +1,4 @@
+import base64
 import json
 import re
 import tracemalloc
@@ -154,16 +155,77 @@ def test_index_persist_roundtrip_and_rebuild_identical(tmp_path, hashing_backend
     assert path_a.read_bytes() == path_b.read_bytes()
 
 
+def write_index_lines(path, dim, vectors):
+    """An index file of `dim` holding one line per vector, each given as its JSON text."""
+    lines = [json.dumps({"dim": dim, "count": len(vectors)})]
+    lines += ['{"chunk_id": "c%d", "vector": %s, "text": "t"}' % (i, vector)
+              for i, vector in enumerate(vectors)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def b64_vector(*entries):
+    return json.dumps(base64.b64encode(np.array(entries, "<f8").tobytes()).decode("ascii"))
+
+
 @pytest.mark.parametrize("vector", ["[null, 1]", '["1", 2]', "[true, 0]", "[NaN, 1]"])
 def test_index_load_rejects_vector_entries_that_are_not_finite_numbers(tmp_path, vector):
-    index = EmbeddingIndex(2, ["a", "b", "c"], ["x", "y", "z"], np.eye(3, 2))
     path = tmp_path / "index.jsonl"
-    index.save(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    lines[2] = lines[2].replace("[0.0, 1.0]", vector)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_index_lines(path, 2, ["[1.0, 0.0]", vector, "[0.0, 0.0]"])
     with pytest.raises(ValueError, match=f"bad index record at {re.escape(str(path))} line 3"):
         EmbeddingIndex.load(path)
+
+
+@pytest.mark.parametrize("vector", [
+    # 1.0, 0.0 with a character outside the alphabet, which a lax decoder would skip
+    '"AAAA!AAAA8D8AAAAAAAAAAA=="', '"AAAA AAAA8D8AAAAAAAAAAA=="', '"\u00e9AAAAAAA8D8AAAAAAAAAAA=="',
+    b64_vector(1.0), b64_vector(1.0, 0.0, 0.0),
+    b64_vector(float("nan"), 1.0), b64_vector(1.0, float("-inf")), "5", "null",
+], ids=["bang", "space", "non_ascii", "dim_minus_1", "dim_plus_1", "nan", "inf", "number", "null"])
+def test_index_load_rejects_a_base64_vector_that_is_not_dim_finite_floats(tmp_path, vector):
+    path = tmp_path / "index.jsonl"
+    write_index_lines(path, 2, [b64_vector(1.0, 0.0), vector])
+    with pytest.raises(ValueError, match=f"bad index record at {re.escape(str(path))} line 3"):
+        EmbeddingIndex.load(path)
+
+
+def test_index_saves_each_vector_as_base64_little_endian_float64(tmp_path):
+    path = tmp_path / "index.jsonl"
+    EmbeddingIndex(2, ["a"], ["t"], np.array([[1.0, -2.5]])).save(path)
+    record = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
+    assert record == {"chunk_id": "a", "vector": json.loads(b64_vector(1.0, -2.5)), "text": "t"}
+    assert base64.b64decode(record["vector"]) == bytes.fromhex("000000000000f03f00000000000004c0")
+
+
+def test_index_load_reads_a_store_whose_vectors_are_lists(tmp_path):
+    matrix = np.array([[0.1, -2.0], [1e-300, 3.0], [0.0, 0.0]])
+    path = tmp_path / "index.jsonl"
+    write_index_lines(path, 2, [json.dumps(row.tolist()) for row in matrix])
+    assert EmbeddingIndex.load(path) == EmbeddingIndex(2, ["c0", "c1", "c2"], ["t"] * 3, matrix)
+
+
+def test_index_save_load_save_is_byte_identical_and_bit_exact(tmp_path):
+    big = np.finfo(np.float64).max
+    matrix = np.array([[-0.0, 5e-324, big], [-big, 0.1, 1 / 3], [0.0, 0.0, 0.0]])
+    index = EmbeddingIndex(3, ["a", "b", "z"], ["x", "y", "z"], matrix)
+    path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    index.save(path_a)
+    loaded = EmbeddingIndex.load(path_a)
+    assert loaded.matrix.tobytes() == matrix.tobytes()  # == alone would equate -0.0 and 0.0
+    assert loaded.chunk_ids == index.chunk_ids and loaded.texts == index.texts
+    loaded.save(path_b)
+    assert path_a.read_bytes() == path_b.read_bytes()
+
+
+def test_index_refuses_a_non_finite_matrix_so_ingest_writes_no_store_that_cannot_load():
+    with pytest.raises(ValueError, match="non-finite"):
+        EmbeddingIndex(2, ["a", "b"], ["t", "u"], np.array([[np.nan, 0.0], [1.0, np.inf]]))
+
+    class NaNEmbedding:
+        def embed(self, text):
+            return np.array([1.0, np.nan])
+
+    with pytest.raises(ValueError, match="non-finite"):  # raised before `hmrag ingest` saves
+        build_index([Chunk("c0", "d", "a", (0, 1))], make_gateway(embedding=NaNEmbedding()))
 
 
 def test_index_load_rejects_an_integer_beyond_float_range(tmp_path):
@@ -222,19 +284,33 @@ def test_index_load_takes_the_header_from_the_first_non_blank_line(tmp_path):
     assert EmbeddingIndex.load(path) == index
 
 
-def test_index_load_peak_memory_stays_below_four_matrices(tmp_path):
+def load_with_peak_memory(path):
+    """The index at `path` and the peak of traced allocations while it loads."""
+    tracemalloc.start()
+    try:
+        return EmbeddingIndex.load(path), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_index_load_peak_memory_stays_below_two_matrices(tmp_path):
     matrix = np.random.default_rng(0).standard_normal((5000, 64))
     index = EmbeddingIndex(64, [f"c{i}" for i in range(5000)], [f"text {i}" for i in range(5000)],
                            matrix)
     path = tmp_path / "index.jsonl"
     index.save(path)
-    tracemalloc.start()
-    try:
-        loaded = EmbeddingIndex.load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    loaded, peak = load_with_peak_memory(path)
     assert loaded == index
+    assert peak < 2 * matrix.nbytes, peak / matrix.nbytes
+
+
+def test_index_load_peak_memory_stays_below_four_matrices(tmp_path):
+    """The same bound as before for a store whose vectors are JSON lists."""
+    matrix = np.random.default_rng(0).standard_normal((5000, 64))
+    path = tmp_path / "index.jsonl"
+    write_index_lines(path, 64, [json.dumps(row.tolist()) for row in matrix])
+    loaded, peak = load_with_peak_memory(path)
+    assert loaded.matrix.tobytes() == matrix.tobytes()
     assert peak < 4 * matrix.nbytes, peak / matrix.nbytes
 
 
