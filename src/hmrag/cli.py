@@ -21,6 +21,7 @@ from .gateway import (
     ModelGateway,
     ScriptedCaptionBackend,
     ScriptedChatBackend,
+    map_in_threads,
 )
 from .ingest import (
     EmbeddingIndex,
@@ -178,7 +179,7 @@ def cmd_ingest(args) -> int:
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # before the first model call, like eval's report
-    docs = [caption_and_refine(record, gateway, templates) for record in records]
+    docs = map_in_threads(lambda record: caption_and_refine(record, gateway, templates), records)
     chunks = []
     for doc in docs:
         chunks.extend(chunk_document(doc, chunk_size, overlap))

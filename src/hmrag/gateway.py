@@ -17,7 +17,9 @@ import json
 import math
 import mimetypes
 import os
+import random
 import threading
+import time
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
@@ -32,10 +34,15 @@ from .errors import (
     GatewayError,
     ScriptMismatchError,
 )
-from .ingest import check_vector_entries
 
 _TEMPERATURE = 0.0
 _TOP_P = 1.0
+# the most slices `map_in_threads` runs at once
+MAX_SLICES = 8
+# waits before a retry: the first backoff, and the cap on any wait
+_BACKOFF_BASE_S = 0.5
+_MAX_WAIT_S = 30.0
+_sleep = time.sleep  # every wait between retries; tests replace it
 
 
 @dataclass(frozen=True)
@@ -119,7 +126,7 @@ class CallLog:
 
 def run_in_threads(calls, timeout: float | None = None) -> list:
     """Run each zero-argument call on its own thread and wait up to `timeout`
-    seconds for all of them: the one way a query runs work concurrently.
+    seconds for all of them: the one way the package runs work concurrently.
 
     Each call runs in a copy of the caller's context with a call list of its
     own. Returns, per call, its future if it has finished by then, else None,
@@ -139,6 +146,41 @@ def run_in_threads(calls, timeout: float | None = None) -> list:
         caller_calls.extend(record for context, future in zip(contexts, finished)
                             if future is not None for record in context[_open_calls])
     return finished
+
+
+def map_in_threads(function, items) -> list:
+    """`[function(item) for item in items]`, as at most MAX_SLICES contiguous
+    slices run at once, each serially as one task of `run_in_threads`.
+
+    Once an item has raised, or the caller is interrupted, no slice starts
+    another item; the error raised is that of the earliest failed item in list
+    order. Results, and the calls recorded for them, keep item order.
+    """
+    items = list(items)
+    if not items:
+        return []
+    count = min(MAX_SLICES, len(items))
+    bounds = [len(items) * i // count for i in range(count + 1)]
+    stop = threading.Event()
+
+    def run_slice(part):
+        results = []
+        for item in part:
+            if stop.is_set():
+                break
+            try:
+                results.append(function(item))
+            except BaseException:
+                stop.set()
+                raise
+        return results
+
+    try:
+        futures = run_in_threads([functools.partial(run_slice, items[start:end])
+                                  for start, end in zip(bounds, bounds[1:])])
+    finally:
+        stop.set()  # on an interrupt, so the slices end after their current item
+    return [result for future in futures for result in future.result()]
 
 
 def load_fixture(path, what: str, valid, wanted: str):
@@ -269,23 +311,39 @@ def json_headers(key_env: str, key_header: str, key_prefix: str = "") -> dict[st
     return headers
 
 
+def _retry_wait_s(retry: int, response) -> float:
+    """Seconds to wait before retry number `retry` (from 1), after `response`, or
+    after a connection failure when None: a 429 or 503 response's Retry-After
+    delta-seconds, else an exponential backoff with jitter; capped either way."""
+    if response is not None and response.status_code in (429, 503):
+        after = response.headers.get("Retry-After", "").strip()
+        if after.isascii() and after.isdigit():  # RFC 9110 10.2.3 delta-seconds
+            return min(float(after), _MAX_WAIT_S)
+    ceiling = min(_MAX_WAIT_S, _BACKOFF_BASE_S * 2.0 ** min(retry - 1, 32))
+    return ceiling * random.uniform(0.5, 1.0)
+
+
 def post_with_retries(config: ModelBackendConfig, payload: dict, headers: dict) -> requests.Response:
     """POST JSON to `config.endpoint`: the one HTTP transport of the package.
 
-    Connection failures and 5xx responses are retried up to `config.retries`
-    times, back to back; any other 4xx raises GatewayError at once. Returns
-    the status-checked response; each caller decodes the body itself.
+    Connection failures, 429 and 5xx responses are retried up to
+    `config.retries` times, each retry after a `_retry_wait_s` wait; any other
+    4xx raises GatewayError at once. Returns the status-checked response; each
+    caller decodes the body itself.
     """
     url = config.endpoint
     last_error: Exception | None = None
-    for _ in range(config.retries + 1):
+    response = None
+    for attempt in range(config.retries + 1):
+        if attempt:
+            _sleep(_retry_wait_s(attempt, response))
         try:
             response = requests.post(url, json=payload, headers=headers, timeout=config.timeout_s)
         except requests.RequestException as exc:
-            last_error = exc
+            last_error, response = exc, None
             continue
-        if response.status_code >= 500:
-            last_error = GatewayError(f"server error {response.status_code} from {url}")
+        if response.status_code >= 500 or response.status_code == 429:
+            last_error = GatewayError(f"status {response.status_code} from {url}")
             continue
         if response.status_code >= 400:
             raise GatewayError(
@@ -340,6 +398,19 @@ class HTTPChatBackend(_HTTPModelClient):
 
     def complete(self, turns, params: DecodingParams) -> str:
         return self._chat_completion(_prompt_of(turns), params.max_tokens)
+
+
+def check_vector_entries(values) -> np.ndarray:
+    """`values` as a float64 row: the rule for a vector read from outside. TypeError
+    unless a non-empty list of int or float entries, since numpy would read None as
+    NaN and "1" or True as 1.0; OverflowError for an int beyond float range;
+    ValueError for a non-finite entry."""
+    if type(values) is not list or not values or not set(map(type, values)) <= {int, float}:
+        raise TypeError(f"vector is not a non-empty list of numbers: {values!r:.80}")
+    row = np.array(values, np.float64)
+    if not np.isfinite(row).all():
+        raise ValueError("vector has a non-finite entry")
+    return row
 
 
 class HTTPEmbeddingBackend(_HTTPModelClient):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingError, trace_warning
+from .gateway import check_vector_entries, map_in_threads
 from .templates import TemplateSet
 
 logger = logging.getLogger(__name__)
@@ -81,19 +82,6 @@ def check_embedding(vector, dim: int) -> np.ndarray:
     if vector.shape != (dim,):
         raise EmbeddingError(f"embedding has shape {vector.shape}, expected ({dim},)")
     return vector
-
-
-def check_vector_entries(values) -> np.ndarray:
-    """`values` as a float64 row: the rule for a vector read from outside. TypeError
-    unless a non-empty list of int or float entries, since numpy would read None as
-    NaN and "1" or True as 1.0; OverflowError for an int beyond float range;
-    ValueError for a non-finite entry."""
-    if type(values) is not list or not values or not set(map(type, values)) <= {int, float}:
-        raise TypeError(f"vector is not a non-empty list of numbers: {values!r:.80}")
-    row = np.array(values, np.float64)
-    if not np.isfinite(row).all():
-        raise ValueError("vector has a non-finite entry")
-    return row
 
 
 class EmbeddingIndex:
@@ -381,7 +369,7 @@ def build_index(chunks: list[Chunk], gateway) -> EmbeddingIndex:
     ids = [c.chunk_id for c in chunks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate chunk_id in chunk list")
-    vectors = [gateway.embed_text(chunk.text) for chunk in chunks]
+    vectors = map_in_threads(lambda chunk: gateway.embed_text(chunk.text), chunks)
     # the first row's length is the index dimension every row must have
     matrix = np.vstack([check_embedding(v, np.size(vectors[0])) for v in vectors])
     return EmbeddingIndex(matrix.shape[1], ids, [c.text for c in chunks], matrix)
@@ -406,13 +394,15 @@ def parse_extraction_response(response: str) -> tuple[list[tuple[str, str]], lis
 
 def extract_graph(docs: list[FusedDocument], gateway, templates: TemplateSet,
                   warnings: list[str] | None = None) -> KnowledgeGraph:
-    """One extraction chat call per document, merged into a single graph."""
+    """One extraction chat call per document, made concurrently; the responses
+    are merged into a single graph in document order."""
     if not docs:
         raise ValueError("cannot extract a graph from zero documents")
+    responses = map_in_threads(
+        lambda doc: gateway.complete_chat(templates.render("extract_graph", text=doc.fused_text)),
+        docs)
     graph = KnowledgeGraph()
-    for doc in docs:
-        prompt = templates.render("extract_graph", text=doc.fused_text)
-        response = gateway.complete_chat(prompt)
+    for doc, response in zip(docs, responses):
         entities, triplets = parse_extraction_response(response)
         if not entities and not triplets:
             trace_warning(warnings,

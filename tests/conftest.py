@@ -3,7 +3,9 @@ import threading
 
 import pytest
 from hypothesis import strategies as st
+from requests.structures import CaseInsensitiveDict
 
+import hmrag.gateway as gateway_mod
 from hmrag.gateway import (
     CallLog,
     ChatTurn,
@@ -25,10 +27,11 @@ JSON_VALUES = st.recursive(
 class FakeResponse:
     """Stands in for `requests.Response`; a None payload makes `json()` fail."""
 
-    def __init__(self, payload, status_code=200, text=None):
+    def __init__(self, payload, status_code=200, text=None, headers=None):
         self._payload = payload
         self.status_code = status_code
         self.text = text if text is not None else json.dumps(payload)
+        self.headers = CaseInsensitiveDict(headers or {})
 
     def json(self):
         if self._payload is None:
@@ -86,6 +89,14 @@ class FlakyChatBackend:
             self.remaining -= 1
             raise self.exc_factory()
         return self.text
+
+
+@pytest.fixture(autouse=True)
+def retry_waits(monkeypatch):
+    """The seconds of each wait between HTTP retries, in order; no test waits in real time."""
+    waits = []
+    monkeypatch.setattr(gateway_mod, "_sleep", waits.append)
+    return waits
 
 
 @pytest.fixture

@@ -526,3 +526,24 @@ def test_pipeline_error_prints_its_trace(world_dir, store_dir, capsys, monkeypat
     trace = json.loads(rest)
     assert trace["question"] == question
     assert any("embedding down" in w for e in trace["entries"] for w in e["warnings"])
+
+
+def test_ingest_that_fails_at_one_document_names_it_and_writes_no_store(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": f"plain words {i}",
+                                          "image_ref": f"img/d{i}.png" if i == 7 else None}) + "\n"
+                              for i in range(12)), encoding="utf-8")
+    chat, captions = tmp_path / "chat.json", tmp_path / "captions.json"
+    chat.write_text("[]", encoding="utf-8")
+    captions.write_text("{}", encoding="utf-8")
+    config = tmp_path / "hmrag.conf"
+    config.write_text(f"chat.backend = scripted\nchat.fixture = {chat}\n"
+                      "embedding.backend = scripted\n"
+                      f"caption.backend = scripted\ncaption.fixture = {captions}\n",
+                      encoding="utf-8")
+    store = tmp_path / "store"
+    code, out, err = run_cli([
+        "ingest", "--corpus", str(corpus), "--out", str(store), "--config", str(config),
+    ], capsys)
+    assert (code, err) == (1, "error: no scripted caption for 'img/d7.png'\n")
+    assert list(store.iterdir()) == []

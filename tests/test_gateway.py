@@ -31,6 +31,7 @@ from hmrag.gateway import (
     ModelBackendConfig,
     ScriptedCaptionBackend,
     ScriptedChatBackend,
+    map_in_threads,
     run_in_threads,
 )
 from hmrag.web_agent import SearchConfig, SearchResult, SerperSearchClient
@@ -255,7 +256,7 @@ def test_http_retries_exhausted(monkeypatch):
     assert len(attempts) == 3
 
 
-def test_http_4xx_fails_without_retry(monkeypatch):
+def test_http_4xx_fails_without_retry(monkeypatch, retry_waits):
     attempts = []
 
     def reject_post(url, **kwargs):
@@ -266,7 +267,75 @@ def test_http_4xx_fails_without_retry(monkeypatch):
     backend = HTTPChatBackend(ModelBackendConfig(endpoint="http://x", retries=3))
     with pytest.raises(GatewayError):
         backend.complete(user_turns("hi"), DecodingParams())
-    assert len(attempts) == 1
+    assert len(attempts) == 1 and retry_waits == []
+
+
+def post_in_turn(monkeypatch, responses):
+    """Makes `requests.post` answer with `responses` in turn; returns the list of attempts."""
+    attempts = []
+
+    def post(url, **kwargs):
+        attempts.append(url)
+        return responses[min(len(attempts), len(responses)) - 1]
+
+    monkeypatch.setattr(gateway_mod.requests, "post", post)
+    return attempts
+
+
+OK_CHAT = FakeResponse({"choices": [{"message": {"content": "ok"}}]})
+
+
+@pytest.mark.parametrize("status", [429, 503])
+@pytest.mark.parametrize("after, wait", [("7", 7.0), (" 0 ", 0.0), ("86400", 30.0)],
+                         ids=["seconds", "zero", "capped"])
+def test_429_and_503_wait_the_retry_after_seconds_capped(monkeypatch, retry_waits, status, after,
+                                                        wait):
+    attempts = post_in_turn(monkeypatch, [
+        FakeResponse({"error": "slow down"}, status_code=status, headers={"retry-after": after}),
+        OK_CHAT])
+    backend = HTTPChatBackend(ModelBackendConfig(endpoint="http://x", retries=2))
+    assert backend.complete(user_turns("hi"), DecodingParams()) == "ok"
+    assert len(attempts) == 2 and retry_waits == [wait]
+
+
+@pytest.mark.parametrize("after", [None, "Wed, 21 Oct 2015 07:28:00 GMT", "1.5", "-1", "\u0661"],
+                         ids=["absent", "http_date", "fraction", "negative", "non_ascii_digit"])
+def test_429_without_delta_seconds_backs_off_with_jitter(monkeypatch, retry_waits, after):
+    headers = {} if after is None else {"Retry-After": after}
+    attempts = post_in_turn(monkeypatch, [
+        FakeResponse({"error": "slow down"}, status_code=429, headers=headers), OK_CHAT])
+    backend = HTTPChatBackend(ModelBackendConfig(endpoint="http://x", retries=1))
+    assert backend.complete(user_turns("hi"), DecodingParams()) == "ok"
+    assert len(attempts) == 2
+    (wait,) = retry_waits
+    assert gateway_mod._BACKOFF_BASE_S / 2 <= wait <= gateway_mod._BACKOFF_BASE_S
+
+
+@pytest.mark.parametrize("failure", ["status_500", "connection"])
+def test_backoff_doubles_up_to_the_cap_and_an_exhausted_budget_is_unavailable(
+        monkeypatch, retry_waits, failure):
+    def post(url, **kwargs):
+        if failure == "connection":
+            raise requests.ConnectionError("down")
+        return FakeResponse({"error": "boom"}, status_code=500)
+
+    monkeypatch.setattr(gateway_mod.requests, "post", post)
+    backend = HTTPChatBackend(ModelBackendConfig(endpoint="http://x", retries=9))
+    with pytest.raises(BackendUnavailableError, match="after 10 attempts"):
+        backend.complete(user_turns("hi"), DecodingParams())
+    ceilings = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0, 30.0]  # one wait per retry
+    assert len(retry_waits) == len(ceilings)
+    for wait, ceiling in zip(retry_waits, ceilings):
+        assert ceiling / 2 <= wait <= ceiling
+
+
+def test_a_429_on_every_attempt_exhausts_the_budget(monkeypatch, retry_waits):
+    attempts = post_in_turn(monkeypatch, [
+        FakeResponse({"error": "slow down"}, status_code=429, headers={"Retry-After": "2"})])
+    backend = HTTPChatBackend(ModelBackendConfig(endpoint="http://x", retries=2))
+    with pytest.raises(BackendUnavailableError, match="after 3 attempts: status 429"):
+        backend.complete(user_turns("hi"), DecodingParams())
+    assert len(attempts) == 3 and retry_waits == [2.0, 2.0]
 
 
 def test_retries_never_change_the_value(monkeypatch):
@@ -489,6 +558,53 @@ def test_run_in_threads_outside_collect_records_nothing(hashing_backend):
         return gateway_mod._open_calls.get()  # the list a call would be recorded into
 
     assert [future.result() for future in run_in_threads([task, task])] == [None, None]
+
+
+def test_map_in_threads_keeps_item_order_in_results_and_calls(hashing_backend):
+    log = CallLog()
+    gateway = make_gateway(embedding=hashing_backend, call_log=log)
+    texts = [f"text number {i}" for i in range(300)]
+    assert map_in_threads(len, []) == []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with log.collect() as records:
+            vectors = map_in_threads(gateway.embed_text, texts)
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.detail for r in records] == texts
+    assert [v.tolist() for v in vectors] == [hashing_backend.embed(t).tolist() for t in texts]
+
+
+def test_an_interrupted_map_in_threads_starts_no_further_item(monkeypatch):
+    """Ctrl-C while every slice is in its first item: the interrupt reaches the
+    caller, and each slice ends after that item."""
+    wait = concurrent.futures.wait
+    slices = []  # the futures of the slice tasks
+    in_first_items = threading.Barrier(gateway_mod.MAX_SLICES + 1, timeout=10)
+    release = threading.Event()
+    started, lock = [], threading.Lock()
+
+    def interrupted_wait(futures, timeout=None):
+        slices.extend(futures)
+        in_first_items.wait()
+        raise KeyboardInterrupt
+
+    def item(i):
+        with lock:
+            started.append(i)
+            first = len(started) <= gateway_mod.MAX_SLICES
+        if first:
+            in_first_items.wait()
+            assert release.wait(10)
+        return i
+
+    monkeypatch.setattr(gateway_mod.concurrent.futures, "wait", interrupted_wait)
+    with pytest.raises(KeyboardInterrupt):
+        map_in_threads(item, range(40))
+    release.set()
+    assert not wait(slices, timeout=10).not_done
+    assert sorted(started) == list(range(0, 40, 40 // gateway_mod.MAX_SLICES))
 
 
 def test_scripted_chat_from_file(tmp_path):

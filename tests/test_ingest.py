@@ -1,13 +1,15 @@
 import base64
 import json
 import re
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import hmrag.gateway as gateway_mod
 from hmrag.errors import EmbeddingError
-from hmrag.gateway import ScriptedCaptionBackend, ScriptedChatBackend
+from hmrag.gateway import HashingEmbeddingBackend, ScriptedCaptionBackend, ScriptedChatBackend
 from hmrag.ingest import (
     Chunk,
     CorpusRecord,
@@ -120,14 +122,11 @@ def test_build_index_rejects_duplicate_chunk_ids(hashing_backend):
 @pytest.mark.parametrize("lengths", [(9, 8, 8), (8, 8, 9)], ids=["odd_first", "odd_later"])
 def test_build_index_rejects_embedding_length_drift(lengths):
     class DriftingEmbedding:
-        """Embedding double whose n-th vector is `lengths[n]` long."""
-
-        def __init__(self):
-            self.calls = 0
+        """Embedding double whose vector for "text number n" is `lengths[n]` long,
+        whatever order the chunks are embedded in."""
 
         def embed(self, text):
-            self.calls += 1
-            return np.ones(lengths[self.calls - 1])
+            return np.ones(lengths[int(text.split()[-1])])
 
     gateway = make_gateway(embedding=DriftingEmbedding())
     chunks = [Chunk(f"c{i}", "d", f"text number {i}", (i, i + 1)) for i in range(3)]
@@ -475,3 +474,152 @@ def test_load_corpus_reads_a_text_holding_a_unicode_line_separator(tmp_path, sep
                     + "\r\n" + json.dumps({"id": "b", "text": "three"}) + "\n", encoding="utf-8")
     assert [(r.id, r.text) for r in load_corpus(path)] == [("a", f"one{separator}two"),
                                                            ("b", "three")]
+
+
+# per-document model calls run concurrently; the stores and warnings keep document order
+
+def numbered_docs(n):
+    """`n` one-chunk documents; every fourth one's extraction response has no parseable line."""
+    docs = [FusedDocument(f"d{i:02d}", f"document number {i}") for i in range(n)]
+    responses = {
+        TEMPLATES.render("extract_graph", text=doc.fused_text):
+            "no usable lines" if i % 4 == 3 else
+            f"ENTITY|{'Node' if i % 2 else 'node'}{i % 5}|seen in {doc.id}\n"
+            f"REL|node{i % 5}|precedes|Node{(i + 1) % 5}"
+        for i, doc in enumerate(docs)}
+    return docs, responses
+
+
+class ReverseFirstWave:
+    """Holds the first `wave` requests, one per slice, until all of them are in
+    flight, then lets them answer from the highest key down; later requests pass
+    straight through. `held` lists the keys held, `answered` every key in the
+    order it answered."""
+
+    def __init__(self, wave):
+        self.wave = wave
+        self.answered = []
+        self.held = []
+        self._cond = threading.Condition()
+
+    def answer(self, key, respond):
+        with self._cond:
+            if len(self.held) < self.wave:
+                self.held.append(key)
+                self._cond.notify_all()
+                assert self._cond.wait_for(lambda: len(self.held) == self.wave and all(
+                    k in self.answered for k in self.held if k > key), timeout=10)
+        value = respond()
+        with self._cond:
+            self.answered.append(key)
+            self._cond.notify_all()
+        return value
+
+
+def test_stores_and_warnings_keep_document_order_when_later_documents_answer_first(
+        tmp_path, monkeypatch):
+    docs, responses = numbered_docs(20)
+    index_of = {prompt: i for i, prompt in enumerate(responses)}
+    chunks = [Chunk(f"{doc.id}:0000", doc.id, doc.fused_text, (0, 3)) for doc in docs]
+    embedding = HashingEmbeddingBackend(dim=8, seed=7)
+    chat_order = ReverseFirstWave(gateway_mod.MAX_SLICES)
+    embed_order = ReverseFirstWave(gateway_mod.MAX_SLICES)
+
+    class ReorderedChat:
+        def complete(self, turns, params):
+            prompt = turns[0].content
+            return chat_order.answer(index_of[prompt], lambda: responses[prompt])
+
+    class ReorderedEmbedding:
+        def embed(self, text):
+            return embed_order.answer(int(text.split()[-1]), lambda: embedding.embed(text))
+
+    def ingest(gateway, out):
+        warnings = []
+        out.mkdir()
+        build_index(chunks, gateway).save(out / "index.jsonl")
+        extract_graph(docs, gateway, TEMPLATES, warnings).save(out / "graph.jsonl")
+        return warnings
+
+    warnings = ingest(make_gateway(chat=ReorderedChat(), embedding=ReorderedEmbedding()),
+                      tmp_path / "concurrent")
+    for order in (chat_order, embed_order):
+        assert [key for key in order.answered if key in order.held] == sorted(order.held)[::-1]
+    monkeypatch.setattr(gateway_mod, "MAX_SLICES", 1)  # one slice: a serial loop
+    chat = ScriptedChatBackend()
+    for prompt, response in responses.items():
+        chat.add(user_turns(prompt), response)
+    assert ingest(make_gateway(chat=chat, embedding=embedding), tmp_path / "serial") == warnings == [
+        f"extraction produced no parseable lines for document 'd{i:02d}'; skipped"
+        for i in range(3, 20, 4)]
+    for name in ("index.jsonl", "graph.jsonl"):
+        assert (tmp_path / "concurrent" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def test_extraction_keeps_more_than_one_and_at_most_max_slices_requests_in_flight():
+    docs, responses = numbered_docs(20)
+    cond = threading.Condition()
+    in_flight, peak, held = 0, 0, 0
+
+    class CountingChat:
+        """Holds the first MAX_SLICES requests until that many are in flight."""
+
+        def complete(self, turns, params):
+            nonlocal in_flight, peak, held
+            with cond:
+                in_flight += 1
+                peak = max(peak, in_flight)
+                cond.notify_all()
+                if held < gateway_mod.MAX_SLICES:
+                    held += 1
+                    assert cond.wait_for(lambda: peak >= gateway_mod.MAX_SLICES, timeout=10)
+                in_flight -= 1
+            return responses[turns[0].content]
+
+    extract_graph(docs, make_gateway(chat=CountingChat()), TEMPLATES, [])
+    assert 1 < peak <= gateway_mod.MAX_SLICES == 8
+
+
+def test_extract_graph_raises_the_earliest_failure_and_starts_no_document_after_one(
+        monkeypatch):
+    """Every slice starts one document and waits there. Two of those documents fail,
+    the later one first: the error raised is the earlier one's, and no slice starts
+    another document once a slice has ended in a failure."""
+    docs, responses = numbered_docs(20)
+    index_of = {prompt: i for i, prompt in enumerate(responses)}
+    slice_failed = threading.Event()
+    run_in_threads = gateway_mod.run_in_threads
+
+    def watched(calls, timeout=None):
+        def watch(call):
+            try:
+                return call()
+            except RuntimeError:
+                slice_failed.set()
+                raise
+        return run_in_threads([lambda call=call: watch(call) for call in calls], timeout)
+
+    monkeypatch.setattr(gateway_mod, "run_in_threads", watched)
+    started = []  # (document, whether a slice had already failed when it started)
+    wave = threading.Barrier(gateway_mod.MAX_SLICES, timeout=10)
+    lock = threading.Lock()
+
+    class FailingChat:
+        def complete(self, turns, params):
+            doc = index_of[turns[0].content]
+            with lock:
+                started.append((doc, slice_failed.is_set()))
+            wave.wait()
+            heads = sorted(d for d, _ in started[:gateway_mod.MAX_SLICES])
+            if doc != heads[5]:  # heads[5] fails at once; the rest wait for its failure
+                assert slice_failed.wait(10)
+            if doc in (heads[3], heads[5]):
+                raise RuntimeError(f"document {doc} failed")
+            return responses[turns[0].content]
+
+    with pytest.raises(RuntimeError) as failure:
+        extract_graph(docs, make_gateway(chat=FailingChat()), TEMPLATES, [])
+    heads = sorted(doc for doc, _ in started)
+    assert str(failure.value) == f"document {heads[3]} failed"
+    assert len(started) == gateway_mod.MAX_SLICES
+    assert not any(after_failure for _, after_failure in started)
