@@ -36,9 +36,9 @@ from .ingest import (
     CorpusRecord,
     EmbeddingIndex,
     Entity,
-    FusedDocument,
     KnowledgeGraph,
     build_index,
+    build_stores,
     caption_and_refine,
     chunk_document,
     extract_graph,
@@ -59,8 +59,8 @@ __all__ = [
     "HTTPChatBackend", "HTTPEmbeddingBackend", "ModelBackendConfig", "ModelGateway",
     "ScriptedCaptionBackend", "ScriptedChatBackend",
     "GraphAgent", "KeywordSet", "Subgraph", "expand_one_hop", "retrieve_subgraph",
-    "Chunk", "CorpusRecord", "EmbeddingIndex", "Entity", "FusedDocument", "KnowledgeGraph",
-    "build_index", "caption_and_refine", "chunk_document", "extract_graph", "load_corpus",
+    "Chunk", "CorpusRecord", "EmbeddingIndex", "Entity", "KnowledgeGraph", "build_index",
+    "build_stores", "caption_and_refine", "chunk_document", "extract_graph", "load_corpus",
     "Pipeline", "PipelineConfig", "QueryTrace", "run_eval",
     "RetrievalResult", "ScoredChunk", "VectorAgent", "score_all",
     "SearchConfig", "SearchResult", "SerperSearchClient", "StubSearchClient", "WebAgent",

@@ -21,18 +21,8 @@ from .gateway import (
     ModelGateway,
     ScriptedCaptionBackend,
     ScriptedChatBackend,
-    map_in_threads,
 )
-from .ingest import (
-    EmbeddingIndex,
-    KnowledgeGraph,
-    build_index,
-    caption_and_refine,
-    check_chunking,
-    chunk_document,
-    extract_graph,
-    load_corpus,
-)
+from .ingest import EmbeddingIndex, KnowledgeGraph, build_stores, check_chunking, load_corpus
 from .pipeline import Pipeline, PipelineConfig, run_eval
 from .templates import TemplateSet
 from .web_agent import SearchConfig, SerperSearchClient, StubSearchClient
@@ -170,7 +160,7 @@ def _make_pipeline(args) -> Pipeline:
 def cmd_ingest(args) -> int:
     cfg = config_mod.load_config(args.config)
     chunk_size, overlap = int(cfg["chunking.size"]), int(cfg["chunking.overlap"])
-    check_chunking(chunk_size, overlap)  # before the first model call
+    check_chunking(chunk_size, overlap)  # before --out is created
     gateway = build_gateway(cfg)
     templates = build_templates(cfg)
     records = load_corpus(args.corpus)
@@ -179,16 +169,11 @@ def cmd_ingest(args) -> int:
         return 2
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)  # before the first model call, like eval's report
-    docs = map_in_threads(lambda record: caption_and_refine(record, gateway, templates), records)
-    chunks = []
-    for doc in docs:
-        chunks.extend(chunk_document(doc, chunk_size, overlap))
-    index = build_index(chunks, gateway)
     warnings: list[str] = []
-    graph = extract_graph(docs, gateway, templates, warnings)
+    index, graph = build_stores(records, gateway, templates, chunk_size, overlap, warnings)
     index.save(out_dir / INDEX_FILENAME)
     graph.save(out_dir / GRAPH_FILENAME)
-    print(f"ingested {len(docs)} documents: {len(index)} chunks, "
+    print(f"ingested {len(records)} documents: {len(index)} chunks, "
           f"{len(graph)} entities, {graph.triplet_count} triplets -> {out_dir}")
     for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)

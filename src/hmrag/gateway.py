@@ -229,7 +229,9 @@ class ScriptedChatBackend:
         try:
             return self._responses[prompt]
         except KeyError:
-            raise ScriptMismatchError(f"no scripted response for prompt {prompt[:120]!r}") from None
+            # prompts from one template share a long head; the tail holds what differs
+            shown = repr(prompt) if len(prompt) <= 240 else f"{prompt[:80]!r} ... {prompt[-160:]!r}"
+            raise ScriptMismatchError(f"no scripted response for prompt {shown}") from None
 
 
 # vector data each HashingEmbeddingBackend memoises: 32 768 tokens at dim 64

@@ -1,10 +1,11 @@
 """Builds the two knowledge stores from a multimodal corpus.
 
 Records carrying images get a caption that is refined against the
-record's own text, then text and caption are fused into one document.
-Fused documents feed an exact-search embedding index (token-window
-chunks) and an entity/relation knowledge graph extracted by prompting
-a chat model for a line-delimited triplet format.
+record's own text, then text and caption are fused into the record's
+text. The fused records feed an exact-search embedding index
+(token-window chunks) and an entity/relation knowledge graph extracted
+by prompting a chat model for a line-delimited triplet format;
+`build_stores` is that whole pass.
 
 Persistence is JSON-lines throughout and deterministic: rebuilding from
 an identical corpus with scripted backends yields byte-identical files.
@@ -42,38 +43,12 @@ class CorpusRecord:
             raise ValueError(f"corpus record needs a non-empty string id, got {self.id!r}")
         if not isinstance(self.text, str) or not isinstance(self.image_ref, (str, type(None))):
             raise ValueError(f"record {self.id!r}: text and image_ref must be strings")
-        if not self.text and not self.image_ref:
+        if not self.text.strip() and not self.image_ref:  # blank text is no text
             raise ValueError(f"record {self.id!r} has neither text nor image_ref")
 
 
-@dataclass(frozen=True)
-class FusedDocument:
-    id: str
-    fused_text: str
-    caption: str | None = None
-    image_ref: str | None = None
-
-    def __post_init__(self):
-        if not self.fused_text:
-            raise ValueError(f"document {self.id!r} has empty fused_text")
-
-
-@dataclass(frozen=True)
-class Chunk:
-    chunk_id: str
-    doc_id: str
-    text: str
-    token_span: tuple[int, int]
-
-    def __post_init__(self):
-        start, end = self.token_span
-        if end <= start:
-            raise ValueError(f"chunk {self.chunk_id!r} has empty span {self.token_span}")
-        if not self.text:
-            raise ValueError(f"chunk {self.chunk_id!r} has empty text")
-
-
-IndexRecord = namedtuple("IndexRecord", ["chunk_id", "text"])
+# one window of a document's tokens; also what a ranking returns for an index row
+Chunk = namedtuple("Chunk", ["chunk_id", "text"])
 
 
 def check_embedding(vector, dim: int) -> np.ndarray:
@@ -126,8 +101,8 @@ class EmbeddingIndex:
             and bool(np.all(self.matrix == other.matrix))
         )
 
-    def record(self, i: int) -> IndexRecord:
-        return IndexRecord(self.chunk_ids[i], self.texts[i])
+    def record(self, i: int) -> Chunk:
+        return Chunk(self.chunk_ids[i], self.texts[i])
 
     def save(self, path) -> None:
         """One header line, then per row `{"chunk_id", "vector", "text"}` with `vector` the
@@ -318,15 +293,15 @@ def load_corpus(path) -> list[CorpusRecord]:
     return _read_jsonl(path, "corpus record", parse)
 
 
-def caption_and_refine(record: CorpusRecord, gateway, templates: TemplateSet) -> FusedDocument:
-    """Fuse a record's text with a context-refined image caption; an empty image_ref is none."""
+def caption_and_refine(record: CorpusRecord, gateway, templates: TemplateSet) -> CorpusRecord:
+    """The record with its refined image caption fused into its text; an empty image_ref is none."""
     if not record.image_ref:
-        return FusedDocument(record.id, record.text, caption=None, image_ref=None)
+        return CorpusRecord(record.id, record.text)
     raw_caption = gateway.caption_image(record.image_ref)
     prompt = templates.render("refine_caption", caption=raw_caption, text=record.text)
     refined = gateway.complete_chat(prompt, role="lightweight_chat")
     fused = record.text + FUSION_SEPARATOR + refined if record.text else refined
-    return FusedDocument(record.id, fused, caption=refined, image_ref=record.image_ref)
+    return CorpusRecord(record.id, fused, record.image_ref)
 
 
 def check_chunking(chunk_size: int, overlap: int) -> None:
@@ -337,14 +312,14 @@ def check_chunking(chunk_size: int, overlap: int) -> None:
         raise ValueError(f"overlap must satisfy 0 <= overlap < chunk_size, got {overlap}")
 
 
-def chunk_document(doc: FusedDocument, chunk_size: int = 512, overlap: int = 64) -> list[Chunk]:
+def chunk_document(doc: CorpusRecord, chunk_size: int, overlap: int) -> list[Chunk]:
     """Whitespace-token windows with stride chunk_size - overlap.
 
-    The last window may be short; together the spans cover every token
+    The last window may be short; together the windows cover every token
     at least once.
     """
     check_chunking(chunk_size, overlap)
-    tokens = doc.fused_text.split()
+    tokens = doc.text.split()
     if not tokens:
         raise ValueError(f"document {doc.id!r} has no tokens")
     stride = chunk_size - overlap
@@ -352,12 +327,7 @@ def chunk_document(doc: FusedDocument, chunk_size: int = 512, overlap: int = 64)
     start = 0
     while True:
         end = min(start + chunk_size, len(tokens))
-        chunks.append(Chunk(
-            chunk_id=f"{doc.id}:{len(chunks):04d}",
-            doc_id=doc.id,
-            text=" ".join(tokens[start:end]),
-            token_span=(start, end),
-        ))
+        chunks.append(Chunk(f"{doc.id}:{len(chunks):04d}", " ".join(tokens[start:end])))
         if end == len(tokens):
             return chunks
         start += stride
@@ -392,14 +362,14 @@ def parse_extraction_response(response: str) -> tuple[list[tuple[str, str]], lis
     return entities, triplets
 
 
-def extract_graph(docs: list[FusedDocument], gateway, templates: TemplateSet,
+def extract_graph(docs: list[CorpusRecord], gateway, templates: TemplateSet,
                   warnings: list[str] | None = None) -> KnowledgeGraph:
     """One extraction chat call per document, made concurrently; the responses
     are merged into a single graph in document order."""
     if not docs:
         raise ValueError("cannot extract a graph from zero documents")
     responses = map_in_threads(
-        lambda doc: gateway.complete_chat(templates.render("extract_graph", text=doc.fused_text)),
+        lambda doc: gateway.complete_chat(templates.render("extract_graph", text=doc.text)),
         docs)
     graph = KnowledgeGraph()
     for doc, response in zip(docs, responses):
@@ -413,3 +383,15 @@ def extract_graph(docs: list[FusedDocument], gateway, templates: TemplateSet,
         for head, relation, tail in triplets:
             graph.add_triplet(head, relation, tail)
     return graph
+
+
+def build_stores(records: list[CorpusRecord], gateway, templates: TemplateSet, chunk_size: int,
+                 overlap: int, warnings: list[str] | None = None,
+                 ) -> tuple[EmbeddingIndex, KnowledgeGraph]:
+    """The embedding index and knowledge graph of `records`: each record captioned,
+    then chunked and embedded, and its graph extracted. The chunking settings are
+    checked before the first model call."""
+    check_chunking(chunk_size, overlap)
+    docs = map_in_threads(lambda record: caption_and_refine(record, gateway, templates), records)
+    chunks = [chunk for doc in docs for chunk in chunk_document(doc, chunk_size, overlap)]
+    return build_index(chunks, gateway), extract_graph(docs, gateway, templates, warnings)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .decision import AnswerCandidate, run_agent
 from .errors import EmbeddingError
-from .ingest import EmbeddingIndex, IndexRecord, check_embedding
+from .ingest import Chunk, EmbeddingIndex, check_embedding
 from .kernels import cosine_scores
 from .templates import TemplateSet
 
@@ -22,7 +22,7 @@ DEFAULT_TOP_K = 5
 
 @dataclass(frozen=True)
 class ScoredChunk:
-    chunk: IndexRecord
+    chunk: Chunk
     score: float
 
 

@@ -10,6 +10,7 @@ from hmrag.cli import main
 from hmrag.config import DEFAULTS
 from hmrag.errors import BackendUnavailableError, ConfigError
 from hmrag.gateway import HashingEmbeddingBackend, ScriptedCaptionBackend, ScriptedChatBackend
+from hmrag.ingest import EmbeddingIndex, KnowledgeGraph
 from hmrag.pipeline import format_eval_question
 from hmrag.templates import TemplateSet
 from hmrag.web_agent import SearchConfig
@@ -408,6 +409,7 @@ def test_bad_chunking_fails_ingest_before_any_backend_call(
     assert code == 1
     assert err == f"error: {error}\n"
     assert backend_calls == []
+    assert not (tmp_path / "store").exists()
 
 
 @pytest.mark.parametrize("command", ["query", "eval"])
@@ -480,6 +482,22 @@ def test_unknown_backend_is_a_config_error(http_cfg, key):
         build(http_cfg)
 
 
+def test_ingest_refuses_a_blank_text_record_before_any_backend_call(
+        world_dir, tmp_path, capsys, backend_calls):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "a", "text": "words"}) + "\n"
+                      + json.dumps({"id": "b", "text": " \t "}) + "\n", encoding="utf-8")
+    code, out, err = run_cli([
+        "ingest", "--corpus", str(corpus), "--out", str(tmp_path / "store"),
+        "--config", str(world_dir.paths["config"]),
+    ], capsys)
+    assert code == 1
+    assert err.startswith(f"error: bad corpus record at {corpus} line 2: ") and err.count("\n") == 1
+    assert "'b' has neither text" in err
+    assert backend_calls == []
+    assert not (tmp_path / "store").exists()
+
+
 def test_ingest_of_an_empty_corpus_exits_2(world_dir, tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("\n", encoding="utf-8")
@@ -547,3 +565,45 @@ def test_ingest_that_fails_at_one_document_names_it_and_writes_no_store(tmp_path
     ], capsys)
     assert (code, err) == (1, "error: no scripted caption for 'img/d7.png'\n")
     assert list(store.iterdir()) == []
+
+
+def test_ingest_missing_one_extraction_entry_names_that_document(tmp_path, capsys):
+    texts = [f"plain words of document {i}" for i in range(12)]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": text}) + "\n"
+                              for i, text in enumerate(texts)), encoding="utf-8")
+    templates = TemplateSet()
+    chat = tmp_path / "chat.json"
+    chat.write_text(json.dumps([
+        {"turns": [{"role": "user", "content": templates.render("extract_graph", text=text)}],
+         "response": f"ENTITY|thing{i}|a thing"}
+        for i, text in enumerate(texts) if i != 7]), encoding="utf-8")
+    config = tmp_path / "hmrag.conf"
+    config.write_text(f"chat.backend = scripted\nchat.fixture = {chat}\n"
+                      "embedding.backend = scripted\ncaption.backend = scripted\n", encoding="utf-8")
+    store = tmp_path / "store"
+    code, out, err = run_cli([
+        "ingest", "--corpus", str(corpus), "--out", str(store), "--config", str(config),
+    ], capsys)
+    assert code == 1
+    assert err.startswith("error: no scripted response for prompt ") and err.count("\n") == 1
+    assert [text for text in texts if text in err] == [texts[7]]
+    assert list(store.iterdir()) == []
+
+
+def test_ingest_writes_the_stores_of_the_test_world(tmp_path, capsys):
+    """`hmrag ingest` and `tests/world.py` build their stores on one path."""
+    world = build_world(n=20).write_files(tmp_path / "world")
+    store, expected = tmp_path / "store", tmp_path / "expected"
+    code, out, err = run_cli([
+        "ingest", "--corpus", str(world.paths["corpus"]), "--out", str(store),
+        "--config", str(world.paths["config"]),
+    ], capsys)
+    assert code == 0, err
+    assert EmbeddingIndex.load(store / "index.jsonl") == world.index
+    assert KnowledgeGraph.load(store / "graph.jsonl") == world.graph
+    expected.mkdir()
+    world.index.save(expected / "index.jsonl")
+    world.graph.save(expected / "graph.jsonl")
+    for name in ("index.jsonl", "graph.jsonl"):
+        assert (store / name).read_bytes() == (expected / name).read_bytes()

@@ -7,7 +7,6 @@ from hmrag.cli import build_pipeline_config
 from hmrag.config import DEFAULTS, format_defaults, load_config, parse_config_text
 from hmrag.errors import ConfigError
 from hmrag.gateway import HashingEmbeddingBackend, ModelBackendConfig
-from hmrag.ingest import chunk_document
 from hmrag.pipeline import PipelineConfig
 from hmrag.templates import TemplateSet, render
 from hmrag.web_agent import SearchConfig, SerperSearchClient
@@ -26,8 +25,6 @@ def test_cli_defaults_equal_the_library_defaults():
 
     assert build_pipeline_config(dict(DEFAULTS)) == PipelineConfig()
     pairs = {
-        "chunking.size": default(chunk_document, "chunk_size"),
-        "chunking.overlap": default(chunk_document, "overlap"),
         "embedding.dim": default(HashingEmbeddingBackend, "dim"),
         "embedding.seed": default(HashingEmbeddingBackend, "seed"),
         "web.num_results": default(SearchConfig, "num_results"),

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import hmrag.gateway as gateway_mod
+from hmrag.config import DEFAULTS
 from hmrag.errors import EmbeddingError
 from hmrag.gateway import HashingEmbeddingBackend, ScriptedCaptionBackend, ScriptedChatBackend
 from hmrag.ingest import (
     Chunk,
     CorpusRecord,
     EmbeddingIndex,
-    FusedDocument,
     KnowledgeGraph,
     build_index,
+    build_stores,
     caption_and_refine,
     chunk_document,
     extract_graph,
@@ -40,10 +41,12 @@ def extract_turns(text):
 
 
 def test_corpus_record_needs_text_or_image():
-    with pytest.raises(ValueError):
-        CorpusRecord("r1")
+    for blank in ("", " ", "\n\t", "\u3000"):  # text that is only whitespace is no text
+        with pytest.raises(ValueError, match="'r1' has neither text nor image_ref"):
+            CorpusRecord("r1", blank)
     CorpusRecord("r2", text="t")
     CorpusRecord("r3", image_ref="img/x.png")
+    CorpusRecord("r4", text=" ", image_ref="img/x.png")
 
 
 def test_caption_and_refine_concatenates_with_separator(templates):
@@ -53,9 +56,7 @@ def test_caption_and_refine_concatenates_with_separator(templates):
     )
     gateway = make_gateway(chat=chat, caption=caption)
     doc = caption_and_refine(CorpusRecord("d1", "soil facts", "img/soil.png"), gateway, templates)
-    assert doc.fused_text == "soil facts\n\na diagram of soil layers"
-    assert doc.caption == "a diagram of soil layers"
-    assert doc.image_ref == "img/soil.png"
+    assert doc == CorpusRecord("d1", "soil facts\n\na diagram of soil layers", "img/soil.png")
 
 
 def test_caption_and_refine_without_text_uses_caption_alone(templates):
@@ -63,49 +64,58 @@ def test_caption_and_refine_without_text_uses_caption_alone(templates):
     chat = ScriptedChatBackend().add(refine_turns("raw", ""), "refined caption")
     gateway = make_gateway(chat=chat, caption=caption)
     doc = caption_and_refine(CorpusRecord("d2", "", "img/x.png"), gateway, templates)
-    assert doc.fused_text == "refined caption"
+    assert doc == CorpusRecord("d2", "refined caption", "img/x.png")
 
 
 def test_caption_and_refine_without_image_passes_text_through(templates):
     gateway = make_gateway(chat=ScriptedChatBackend())  # any chat call would blow up
-    doc = caption_and_refine(CorpusRecord("d3", "x"), gateway, templates)
-    assert doc.fused_text == "x"
-    assert doc.caption is None
+    for image_ref in (None, ""):  # an empty image_ref is none
+        doc = caption_and_refine(CorpusRecord("d3", "x", image_ref), gateway, templates)
+        assert doc == CorpusRecord("d3", "x")  # image_ref None, not ""
 
 
 def test_chunk_spans_match_hand_enumeration():
-    doc = FusedDocument("d", " ".join(f"t{i}" for i in range(10)))
+    doc = CorpusRecord("d", " ".join(f"t{i}" for i in range(10)))
     chunks = chunk_document(doc, chunk_size=4, overlap=1)
-    assert [c.token_span for c in chunks] == [(0, 4), (3, 7), (6, 10)]
-    assert chunks[0].text == "t0 t1 t2 t3"
-    assert [c.chunk_id for c in chunks] == ["d:0000", "d:0001", "d:0002"]
+    assert chunks == [("d:0000", "t0 t1 t2 t3"), ("d:0001", "t3 t4 t5 t6"),
+                      ("d:0002", "t6 t7 t8 t9")]
 
 
 def test_chunk_short_document_single_window():
-    doc = FusedDocument("d", "a b c")
+    doc = CorpusRecord("d", "a\n\nb  c")
     chunks = chunk_document(doc, chunk_size=4, overlap=1)
-    assert [c.token_span for c in chunks] == [(0, 3)]
+    assert chunks == [("d:0000", "a b c")]
 
 
 def test_chunk_rejects_overlap_not_below_size():
-    doc = FusedDocument("d", "a b c")
+    doc = CorpusRecord("d", "a b c")
     with pytest.raises(ValueError):
         chunk_document(doc, chunk_size=4, overlap=4)
 
 
 @pytest.mark.parametrize("n_tokens,size,overlap", [(1, 4, 0), (10, 4, 1), (17, 5, 2), (100, 7, 3)])
 def test_chunk_spans_tile_the_document(n_tokens, size, overlap):
-    doc = FusedDocument("d", " ".join(f"w{i}" for i in range(n_tokens)))
+    doc = CorpusRecord("d", " ".join(f"w{i}" for i in range(n_tokens)))
     chunks = chunk_document(doc, chunk_size=size, overlap=overlap)
     covered = set()
     for c in chunks:
-        covered.update(range(*c.token_span))
+        words = [int(token[1:]) for token in c.text.split(" ")]
+        assert 0 < len(words) <= size
+        assert words == list(range(words[0], words[0] + len(words)))  # one unbroken window
+        covered.update(words)
     assert covered == set(range(n_tokens))
+
+
+def test_build_stores_checks_chunking_before_any_model_call(templates):
+    gateway = make_gateway(chat=ScriptedChatBackend(), caption=ScriptedCaptionBackend({}))
+    records = [CorpusRecord("d1", "words", "img/x.png")]  # its caption call would fail
+    with pytest.raises(ValueError, match="overlap must satisfy 0 <= overlap < chunk_size, got 4"):
+        build_stores(records, gateway, templates, 4, 4)
 
 
 def test_build_index_counts_and_dim(hashing_backend):
     gateway = make_gateway(embedding=hashing_backend)
-    chunks = [Chunk(f"c{i}", "d", f"text number {i}", (i, i + 1)) for i in range(3)]
+    chunks = [Chunk(f"c{i}", f"text number {i}") for i in range(3)]
     index = build_index(chunks, gateway)
     assert len(index) == 3
     assert index.dim == 8
@@ -114,7 +124,7 @@ def test_build_index_counts_and_dim(hashing_backend):
 
 def test_build_index_rejects_duplicate_chunk_ids(hashing_backend):
     gateway = make_gateway(embedding=hashing_backend)
-    chunks = [Chunk("c0", "d", "a", (0, 1)), Chunk("c0", "d", "b", (1, 2))]
+    chunks = [Chunk("c0", "a"), Chunk("c0", "b")]
     with pytest.raises(ValueError):
         build_index(chunks, gateway)
 
@@ -129,7 +139,7 @@ def test_build_index_rejects_embedding_length_drift(lengths):
             return np.ones(lengths[int(text.split()[-1])])
 
     gateway = make_gateway(embedding=DriftingEmbedding())
-    chunks = [Chunk(f"c{i}", "d", f"text number {i}", (i, i + 1)) for i in range(3)]
+    chunks = [Chunk(f"c{i}", f"text number {i}") for i in range(3)]
     with pytest.raises(EmbeddingError):
         build_index(chunks, gateway)
 
@@ -141,7 +151,7 @@ def test_build_index_rejects_empty_input(hashing_backend):
 
 def test_index_persist_roundtrip_and_rebuild_identical(tmp_path, hashing_backend):
     gateway = make_gateway(embedding=hashing_backend)
-    chunks = [Chunk(f"c{i}", "d", f"zeta text {i}", (i, i + 1)) for i in range(4)]
+    chunks = [Chunk(f"c{i}", f"zeta text {i}") for i in range(4)]
     index = build_index(chunks, gateway)
 
     path_a = tmp_path / "a.jsonl"
@@ -224,7 +234,7 @@ def test_index_refuses_a_non_finite_matrix_so_ingest_writes_no_store_that_cannot
             return np.array([1.0, np.nan])
 
     with pytest.raises(ValueError, match="non-finite"):  # raised before `hmrag ingest` saves
-        build_index([Chunk("c0", "d", "a", (0, 1))], make_gateway(embedding=NaNEmbedding()))
+        build_index([Chunk("c0", "a")], make_gateway(embedding=NaNEmbedding()))
 
 
 def test_index_load_rejects_an_integer_beyond_float_range(tmp_path):
@@ -321,9 +331,9 @@ def test_parse_extraction_lines():
 
 
 def test_extract_graph_builds_entities_and_triplets(templates):
-    doc = FusedDocument("d1", "the earth orbits the sun")
+    doc = CorpusRecord("d1", "the earth orbits the sun")
     chat = ScriptedChatBackend().add(
-        extract_turns(doc.fused_text),
+        extract_turns(doc.text),
         "ENTITY|sun|star\nENTITY|earth|planet\nREL|earth|orbits|sun",
     )
     graph = extract_graph([doc], make_gateway(chat=chat), templates)
@@ -333,7 +343,7 @@ def test_extract_graph_builds_entities_and_triplets(templates):
 
 
 def test_extract_graph_deduplicates_entities_across_docs(templates):
-    docs = [FusedDocument("d1", "one"), FusedDocument("d2", "two")]
+    docs = [CorpusRecord("d1", "one"), CorpusRecord("d2", "two")]
     chat = (
         ScriptedChatBackend()
         .add(extract_turns("one"), "ENTITY|Sun|star")
@@ -348,7 +358,7 @@ def test_extract_graph_deduplicates_entities_across_docs(templates):
 
 
 def test_extract_graph_autocreates_undeclared_entity(templates):
-    doc = FusedDocument("d1", "moon text")
+    doc = CorpusRecord("d1", "moon text")
     chat = ScriptedChatBackend().add(
         extract_turns("moon text"), "ENTITY|earth|planet\nREL|moon|orbits|earth"
     )
@@ -360,7 +370,7 @@ def test_extract_graph_autocreates_undeclared_entity(templates):
 
 
 def test_extract_graph_skips_unparseable_doc_with_warning(templates):
-    docs = [FusedDocument("good", "g"), FusedDocument("bad", "b")]
+    docs = [CorpusRecord("good", "g"), CorpusRecord("bad", "b")]
     chat = (
         ScriptedChatBackend()
         .add(extract_turns("g"), "ENTITY|rock|mineral")
@@ -374,7 +384,7 @@ def test_extract_graph_skips_unparseable_doc_with_warning(templates):
 
 
 def test_extract_graph_attaches_visual_location(templates):
-    doc = FusedDocument("d1", "flag text", caption="a flag", image_ref="img/flag.png")
+    doc = CorpusRecord("d1", "flag text", image_ref="img/flag.png")
     chat = ScriptedChatBackend().add(
         extract_turns("flag text"), "ENTITY|flag|national symbol"
     )
@@ -423,6 +433,16 @@ def test_load_corpus_refuses_text_or_image_ref_that_is_not_a_string(tmp_path, li
     path.write_text(json.dumps({"id": "ok", "text": "fine"}) + "\n" + json.dumps(line) + "\n",
                     encoding="utf-8")
     with pytest.raises(ValueError, match=f"bad corpus record at {re.escape(str(path))} line 2"):
+        load_corpus(path)
+
+
+def test_load_corpus_refuses_a_blank_text_record_without_image_naming_its_line(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps({"id": "a", "text": "t"}) + "\n"
+                    + json.dumps({"id": "b", "text": " \n\t ", "image_ref": ""}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"bad corpus record at {re.escape(str(path))} line 2: "
+                                         ".*'b' has neither text"):
         load_corpus(path)
 
 
@@ -480,9 +500,9 @@ def test_load_corpus_reads_a_text_holding_a_unicode_line_separator(tmp_path, sep
 
 def numbered_docs(n):
     """`n` one-chunk documents; every fourth one's extraction response has no parseable line."""
-    docs = [FusedDocument(f"d{i:02d}", f"document number {i}") for i in range(n)]
+    docs = [CorpusRecord(f"d{i:02d}", f"document number {i}") for i in range(n)]
     responses = {
-        TEMPLATES.render("extract_graph", text=doc.fused_text):
+        TEMPLATES.render("extract_graph", text=doc.text):
             "no usable lines" if i % 4 == 3 else
             f"ENTITY|{'Node' if i % 2 else 'node'}{i % 5}|seen in {doc.id}\n"
             f"REL|node{i % 5}|precedes|Node{(i + 1) % 5}"
@@ -520,7 +540,6 @@ def test_stores_and_warnings_keep_document_order_when_later_documents_answer_fir
         tmp_path, monkeypatch):
     docs, responses = numbered_docs(20)
     index_of = {prompt: i for i, prompt in enumerate(responses)}
-    chunks = [Chunk(f"{doc.id}:0000", doc.id, doc.fused_text, (0, 3)) for doc in docs]
     embedding = HashingEmbeddingBackend(dim=8, seed=7)
     chat_order = ReverseFirstWave(gateway_mod.MAX_SLICES)
     embed_order = ReverseFirstWave(gateway_mod.MAX_SLICES)
@@ -537,8 +556,10 @@ def test_stores_and_warnings_keep_document_order_when_later_documents_answer_fir
     def ingest(gateway, out):
         warnings = []
         out.mkdir()
-        build_index(chunks, gateway).save(out / "index.jsonl")
-        extract_graph(docs, gateway, TEMPLATES, warnings).save(out / "graph.jsonl")
+        index, graph = build_stores(docs, gateway, TEMPLATES, DEFAULTS["chunking.size"],
+                                    DEFAULTS["chunking.overlap"], warnings)
+        index.save(out / "index.jsonl")
+        graph.save(out / "graph.jsonl")
         return warnings
 
     warnings = ingest(make_gateway(chat=ReorderedChat(), embedding=ReorderedEmbedding()),

@@ -221,7 +221,7 @@ def test_concurrent_queries_keep_their_own_summary_calls():
 def _mini_vector_store(texts):
     backend = HashingEmbeddingBackend(dim=16, seed=1)
     gateway = ModelGateway(chat=ScriptedChatBackend(), embedding=backend)
-    chunks = [Chunk(f"c{i}", "doc", t, (i, i + 1)) for i, t in enumerate(texts)]
+    chunks = [Chunk(f"c{i}", t) for i, t in enumerate(texts)]
     return build_index(chunks, gateway), backend
 
 

@@ -26,13 +26,8 @@ from hmrag.graph_agent import (
     expand_one_hop,
     serialize_subgraph,
 )
-from hmrag.ingest import (
-    CorpusRecord,
-    build_index,
-    caption_and_refine,
-    chunk_document,
-    extract_graph,
-)
+from hmrag.config import DEFAULTS
+from hmrag.ingest import CorpusRecord, build_stores
 from hmrag.pipeline import (
     EvalRecord,
     Pipeline,
@@ -212,32 +207,23 @@ def build_world(n=20, wrong_ids=frozenset(), subsets=SUBSETS):
             book.add(templates.render("refine_caption", caption=raw, text=text), refined)
 
     # extraction responses, keyed by the fused text each document will have
-    fused_texts = {}
     for i, record in enumerate(records):
-        if record.image_ref:
-            fused_texts[i] = record.text + "\n\n" + raw_captions[i][1]
-        else:
-            fused_texts[i] = record.text
+        fused_text = record.text + "\n\n" + raw_captions[i][1] if record.image_ref else record.text
         extraction = "\n".join([
             f"ENTITY|{country(i)}|a coastal nation",
             f"ENTITY|{city(i)}|capital of {country(i)}",
             f"REL|{city(i)}|capital_of|{country(i)}",
         ])
-        book.add(templates.render("extract_graph", text=fused_texts[i]), extraction)
+        book.add(templates.render("extract_graph", text=fused_text), extraction)
 
-    # build the stores exactly the way ingestion will
+    # build the stores the way `hmrag ingest` does
     ingest_gateway = ModelGateway(
         chat=book.backend(),
         embedding=HashingEmbeddingBackend(dim=EMBED_DIM, seed=EMBED_SEED),
         caption=ScriptedCaptionBackend(captions),
     )
-    docs = [caption_and_refine(r, ingest_gateway, templates) for r in records]
-    assert [d.fused_text for d in docs] == [fused_texts[i] for i in range(n)]
-    chunks = []
-    for doc in docs:
-        chunks.extend(chunk_document(doc))
-    index = build_index(chunks, ingest_gateway)
-    graph = extract_graph(docs, ingest_gateway, templates)
+    index, graph = build_stores(records, ingest_gateway, templates,
+                                DEFAULTS["chunking.size"], DEFAULTS["chunking.overlap"])
 
     # eval dataset: four city choices, correct letter varies with position
     eval_records = []
