@@ -29,8 +29,6 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from statistics import mean
 
-import numpy as np
-
 from .errors import GatewayError, PipelineError, trace_warning
 from .gateway import run_in_threads
 from .kernels import lcs_length
@@ -113,10 +111,7 @@ def rouge_l(a, b) -> float:
     if not a or not b:
         logger.warning("rouge_l over an empty token sequence scores 0")
         return 0.0
-    vocab: dict[str, int] = {}
-    ids_a = np.array([vocab.setdefault(t, len(vocab)) for t in a], dtype=np.int64)
-    ids_b = np.array([vocab.setdefault(t, len(vocab)) for t in b], dtype=np.int64)
-    return lcs_length(ids_a, ids_b) / max(len(a), len(b))
+    return lcs_length(a, b) / max(len(a), len(b))
 
 
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
@@ -148,9 +143,8 @@ def bleu(candidate, reference) -> float:
     return math.exp(log_sum) * brevity
 
 
-def pair_metrics(summary_a: str, summary_b: str, fusion_lambda: float) -> tuple[float, float, float]:
-    """(LCS overlap, symmetrized n-gram precision, their lambda-weighted blend)."""
-    tokens_a, tokens_b = tokenize(summary_a), tokenize(summary_b)
+def pair_metrics(tokens_a, tokens_b, fusion_lambda: float) -> tuple[float, float, float]:
+    """(LCS overlap, symmetrized n-gram precision, their lambda-weighted blend) of two token lists."""
     rouge = rouge_l(tokens_a, tokens_b)
     sym_bleu = (bleu(tokens_a, tokens_b) + bleu(tokens_b, tokens_a)) / 2
     return rouge, sym_bleu, fusion_lambda * rouge + (1 - fusion_lambda) * sym_bleu
@@ -162,7 +156,7 @@ def fused_similarity(a: AnswerCandidate, b: AnswerCandidate, fusion_lambda: floa
         raise ValueError("fusion_lambda must be in [0, 1]")
     if a.summary is None or b.summary is None:
         raise ValueError("both candidates need summaries before scoring")
-    return pair_metrics(a.summary, b.summary, fusion_lambda)[2]
+    return pair_metrics(tokenize(a.summary), tokenize(b.summary), fusion_lambda)[2]
 
 
 def format_answers(candidates, with_evidence: bool = False) -> str:
@@ -259,9 +253,10 @@ class DecisionAgent:
 
         pair_scores: dict[str, dict[str, float]] = {}
         fused_values = []
-        for a, b in itertools.combinations(available, 2):
-            rouge, sym_bleu, fused = pair_metrics(a.summary, b.summary, self.fusion_lambda)
-            pair_scores[_pair_key(a.source, b.source)] = {
+        summarized = [(c.source, tokenize(c.summary)) for c in available if c.summary is not None]
+        for (source_a, tokens_a), (source_b, tokens_b) in itertools.combinations(summarized, 2):
+            rouge, sym_bleu, fused = pair_metrics(tokens_a, tokens_b, self.fusion_lambda)
+            pair_scores[_pair_key(source_a, source_b)] = {
                 "rouge_l": rouge, "bleu": sym_bleu, "fused": fused,
             }
             fused_values.append(fused)

@@ -195,7 +195,7 @@ def _parse_keyword_response(response: str) -> KeywordSet | None:
     text = response.strip()
     if text.startswith("```"):
         text = text.strip("`")
-        if text.startswith("json"):
+        if text[:4].lower() == "json":
             text = text[4:]
     try:
         data = json.loads(text)

@@ -348,13 +348,14 @@ def build_index(chunks: list[Chunk], gateway) -> EmbeddingIndex:
 def parse_extraction_response(response: str) -> tuple[list[tuple[str, str]], list[tuple[str, str, str]]]:
     """Parse ENTITY|name|description and REL|head|relation|tail lines.
 
+    A description is the rest of its line, so it may hold `|` itself.
     Lines matching neither form are ignored; callers treat a response
     with no parseable lines as an unparseable document.
     """
     entities, triplets = [], []
     for line in response.splitlines():
-        parts = [p.strip() for p in line.strip().split("|")]
-        tag = parts[0].upper() if parts and parts[0] else ""
+        tag = line.split("|", 1)[0].strip().upper()
+        parts = [p.strip() for p in line.split("|", 2 if tag == "ENTITY" else -1)]
         if tag == "ENTITY" and len(parts) >= 3 and parts[1]:
             entities.append((parts[1], parts[2]))
         elif tag == "REL" and len(parts) >= 4 and parts[1] and parts[2] and parts[3]:

@@ -1,10 +1,10 @@
 """Numeric kernels behind retrieval scoring and answer-overlap metrics.
 
 The two loops that dominate compute at eval time live here: cosine
-similarity of a query vector against every stored embedding, and the
-longest-common-subsequence table used by the consistency metric. Both
-are plain numpy; ``perfbench/run.py --trace 1`` times them at fixed
-sizes against independent references.
+similarity of a query vector against every stored embedding (numpy),
+and the longest-common-subsequence length used by the consistency
+metric (exact integer arithmetic on Python ints). ``perfbench/run.py
+--trace 1`` times them at fixed sizes against independent references.
 """
 
 from __future__ import annotations
@@ -57,17 +57,16 @@ def cosine_scores(query, matrix) -> np.ndarray:
 
 
 def lcs_length(a, b) -> int:
-    """Length of the longest common subsequence of two id sequences.
-
-    A row-vectorized DP sweep: each DP row is non-decreasing, so the
-    running maximum absorbs the within-row dependency.
+    """Length of the longest common subsequence of two sequences of hashable items,
+    in exact bit-parallel integer arithmetic (Allison and Dix 1986; Hyyrö 2004):
+    bit j of `row` is 0 where the DP row steps up at column j of `b`.
     """
-    a = np.ascontiguousarray(a, dtype=np.int64)
-    b = np.ascontiguousarray(b, dtype=np.int64)
-    if a.size == 0 or b.size == 0:
-        return 0
-    prev = np.zeros(b.size + 1, dtype=np.int64)
-    for token in a:
-        candidate = np.maximum(prev[1:], prev[:-1] + (b == token))
-        prev = np.concatenate(([0], np.maximum.accumulate(candidate)))
-    return int(prev[-1])
+    masks: dict = {}
+    for j, item in enumerate(b):
+        masks[item] = masks.get(item, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    row = full
+    for item in a:
+        matched = row & masks.get(item, 0)
+        row = ((row + matched) | (row - matched)) & full
+    return len(b) - row.bit_count()

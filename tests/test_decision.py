@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hmrag import decision
 from hmrag.decision import (
     AnswerCandidate,
     ConsensusReport,
@@ -394,6 +395,19 @@ def test_routing_is_pure_function_of_scores_across_random_fixtures():
         expected_route = "lightweight" if independent_mean >= threshold else "expert"
         assert report.route == expected_route
         assert report.consensus == (independent_mean >= threshold)
+
+
+def test_decide_tokenizes_each_summary_once(monkeypatch):
+    seen = []
+    monkeypatch.setattr(decision, "tokenize", lambda text: seen.append(text) or tokenize(text))
+    candidates = [candidate(source, f"text {source}", summary=f"{source} summary")
+                  for source in ("vector", "graph", "web")]
+    _, report, _ = make_agent().decide("q?", candidates)
+    assert sorted(seen) == sorted(c.summary for c in candidates)
+    assert len(report.pair_scores) == 3
+    seen.clear()
+    _, report, _ = make_agent().decide("q?", [candidate("vector", "alone")])
+    assert seen == [] and report.pair_scores == {}
 
 
 def test_consensus_report_validates_consistency():

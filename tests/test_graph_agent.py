@@ -35,8 +35,16 @@ def keyword_turns(question):
     return user_turns(TEMPLATES.render("keywords", question=question))
 
 
-def test_extract_keywords_parses_json():
-    response = '{"local_keywords": ["Granite", "granite"], "global_keywords": ["Rock Classification"]}'
+KEYWORD_JSON = '{"local_keywords": ["Granite", "granite"], "global_keywords": ["Rock Classification"]}'
+
+
+@pytest.mark.parametrize("response", [
+    KEYWORD_JSON,
+    f"```\n{KEYWORD_JSON}\n```",
+    f"```json\n{KEYWORD_JSON}\n```",
+    f"```JSON\n{KEYWORD_JSON}\n```",
+], ids=["unfenced", "fenced", "fenced_json", "fenced_JSON"])
+def test_extract_keywords_parses_json(response):
     chat = ScriptedChatBackend().add(keyword_turns("q?"), response)
     agent = GraphAgent(make_gateway(chat=chat), chain_graph(), templates=TEMPLATES)
     keywords = agent.extract_keywords("q?")

@@ -324,10 +324,13 @@ def test_index_load_peak_memory_stays_below_four_matrices(tmp_path):
 
 
 def test_parse_extraction_lines():
-    response = "ENTITY|sun|star\nENTITY|earth|planet\nREL|earth|orbits|sun\nnoise line"
+    response = ("ENTITY|sun|star\nENTITY|earth|planet\nREL|earth|orbits|sun\nnoise line\n"
+                "ENTITY|Paris|capital of France | home of the Louvre \nREL|moon|orbits|earth|extra")
     entities, triplets = parse_extraction_response(response)
-    assert entities == [("sun", "star"), ("earth", "planet")]
-    assert triplets == [("earth", "orbits", "sun")]
+    # a description runs to the end of its line; a relation's extra field is dropped
+    assert entities == [("sun", "star"), ("earth", "planet"),
+                        ("Paris", "capital of France | home of the Louvre")]
+    assert triplets == [("earth", "orbits", "sun"), ("moon", "orbits", "earth")]
 
 
 def test_extract_graph_builds_entities_and_triplets(templates):

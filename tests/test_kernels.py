@@ -29,6 +29,17 @@ def test_lcs_numpy_matches_reference(a, b):
     assert kernels.lcs_length(arr_a, arr_b) == lcs_reference(a, b)
 
 
+# lengths up to 200 cross the 64- and 128-bit word boundaries of the bit-parallel rows
+token_lists = st.integers(0, 200).flatmap(
+    lambda n: st.lists(st.sampled_from(["granite", "is", "a", "rock"]), min_size=n, max_size=n))
+
+
+@given(token_lists, token_lists)
+@settings(max_examples=150, deadline=None)
+def test_lcs_tokens_match_reference(a, b):
+    assert kernels.lcs_length(a, b) == lcs_reference(a, b)
+
+
 def test_lcs_empty_inputs():
     empty = np.empty(0, dtype=np.int64)
     other = np.array([1, 2], dtype=np.int64)
