@@ -4,7 +4,8 @@ A config file holds ``key = value`` lines; ``#`` starts a full-line
 comment. The file path comes from ``--config`` or the ``HMRAG_CONFIG``
 environment variable. ``DEFAULTS`` holds every key a file may set; each
 value is coerced to the type of its default, and any other key, a
-misspelt or a retired one, is an error naming its line.
+misspelt or a retired one, is an error naming its line. ``DEFAULTS`` is
+the one statement of each default: the library's parameters read theirs from it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import ConfigError
 
 CONFIG_ENV_VAR = "HMRAG_CONFIG"
 
-_ROLE_DEFAULTS = {
+ROLE_DEFAULTS = {
     "backend": "http",
     "endpoint": "",
     "model_name": "",
@@ -51,7 +52,7 @@ DEFAULTS: dict[str, object] = {
 }
 
 for _role in ("chat", "lightweight_chat", "expert_chat", "embedding", "caption"):
-    for _key, _value in _ROLE_DEFAULTS.items():
+    for _key, _value in ROLE_DEFAULTS.items():
         DEFAULTS.setdefault(f"{_role}.{_key}", _value)
 del DEFAULTS["embedding.fixture"]  # the scripted embedding backend hashes text and reads no file
 # Secondary chat roles reuse the main chat backend unless configured.
@@ -97,7 +98,13 @@ def load_config(path: str | Path | None = None) -> dict[str, object]:
         file_path = Path(chosen)
         if not file_path.is_file():
             raise ConfigError(f"config file not found: {file_path}")
-        merged.update(parse_config_text(file_path.read_text(encoding="utf-8")))
+        data = file_path.read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"config file {file_path} line {lineno} is not UTF-8: {exc}") from None
+        merged.update(parse_config_text(text))
     return merged
 
 

@@ -29,6 +29,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from statistics import mean
 
+from .config import DEFAULTS
 from .errors import GatewayError, PipelineError, trace_warning
 from .gateway import run_in_threads
 from .kernels import lcs_length
@@ -175,8 +176,9 @@ def _pair_key(source_a: str, source_b: str) -> str:
 
 class DecisionAgent:
     def __init__(self, gateway, templates: TemplateSet | None = None,
-                 fusion_lambda: float = 0.5, consensus_threshold: float = 0.5,
-                 summary_token_budget: int = 64):
+                 fusion_lambda: float = DEFAULTS["decision.fusion_lambda"],
+                 consensus_threshold: float = DEFAULTS["decision.consensus_threshold"],
+                 summary_token_budget: int = DEFAULTS["decision.summary_token_budget"]):
         self._gateway = gateway
         self._templates = templates or TemplateSet()
         self.fusion_lambda = fusion_lambda

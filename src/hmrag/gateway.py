@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import requests
 
+from .config import DEFAULTS, ROLE_DEFAULTS
 from .errors import (
     BackendUnavailableError,
     ConfigError,
@@ -74,10 +75,10 @@ def _prompt_of(turns) -> str:
 @dataclass(frozen=True)
 class ModelBackendConfig:
     endpoint: str
-    model_name: str = ""
-    api_key_env: str = ""
-    timeout_s: float = 30.0
-    retries: int = 2
+    model_name: str = ROLE_DEFAULTS["model_name"]
+    api_key_env: str = ROLE_DEFAULTS["api_key_env"]
+    timeout_s: float = ROLE_DEFAULTS["timeout_s"]
+    retries: int = ROLE_DEFAULTS["retries"]
 
     def __post_init__(self):
         if not 0 < self.timeout_s <= threading.TIMEOUT_MAX:  # refuses nan too
@@ -183,10 +184,19 @@ def map_in_threads(function, items) -> list:
     return [result for future in futures for result in future.result()]
 
 
+def parse_json(text):
+    """`json.loads(text)`, where a value nested too deeply to decode is a ValueError
+    like any other malformed JSON; `json` raises RecursionError for it."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def load_fixture(path, what: str, valid, wanted: str):
     """The JSON value in fixture file `path` if `valid(value)`, else a ValueError naming it."""
     try:
-        value = json.loads(Path(path).read_text(encoding="utf-8"))
+        value = parse_json(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{what} fixture {path} is not JSON: {exc}") from None
     if not valid(value):
@@ -259,7 +269,7 @@ class HashingEmbeddingBackend:
     thread-safe and every `embed` returns a fresh array.
     """
 
-    def __init__(self, dim: int = 64, seed: int = 0):
+    def __init__(self, dim: int = DEFAULTS["embedding.dim"], seed: int = DEFAULTS["embedding.seed"]):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
@@ -373,7 +383,7 @@ class _HTTPModelClient:
         response = post_with_retries(self.config, payload, self._headers)
         try:
             return response.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
             raise GatewayError(f"malformed JSON from {self.config.endpoint}: {exc}") from exc
 
     def _chat_completion(self, content, max_tokens: int) -> str:

@@ -9,18 +9,17 @@ and triplet endpoints before being serialized for answer generation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULTS
 from .decision import AnswerCandidate, run_agent
 from .errors import trace_warning
+from .gateway import parse_json
 from .ingest import KnowledgeGraph, check_embedding
 from .kernels import cosine_scores
 from .templates import TemplateSet
-
-DEFAULT_TAU = 0.3
 
 _STOPWORDS = frozenset("""
 a an the is are was were be been being what which who whom whose when where why
@@ -156,7 +155,7 @@ class GraphAgent:
 
     source = "graph"
 
-    def __init__(self, gateway, graph: KnowledgeGraph, tau: float = DEFAULT_TAU,
+    def __init__(self, gateway, graph: KnowledgeGraph, tau: float = DEFAULTS["graph.tau"],
                  templates: TemplateSet | None = None):
         self._gateway = gateway
         self._graph = graph
@@ -198,7 +197,7 @@ def _parse_keyword_response(response: str) -> KeywordSet | None:
         if text[:4].lower() == "json":
             text = text[4:]
     try:
-        data = json.loads(text)
+        data = parse_json(text)
     except ValueError:
         return None
     if not isinstance(data, dict):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmbeddingError, trace_warning
-from .gateway import check_vector_entries, map_in_threads
+from .gateway import check_vector_entries, map_in_threads, parse_json
 from .templates import TemplateSet
 
 logger = logging.getLogger(__name__)
@@ -266,17 +266,21 @@ def _read_jsonl(path, what: str, parse) -> list:
     """`parse(lineno, record)` for each non-blank JSON line of `path`, in order. A
     line that fails to parse is a ValueError naming the file and the line.
 
-    The file is read as a stream and split only at line ends: the stores write
+    The file is read as a byte stream and split only at b"\n": the stores write
     U+2028, U+2029 and U+0085 raw inside strings, where `str.splitlines` would
-    split too."""
+    split too. Each line is decoded in its own handler, so a line that is not
+    UTF-8 is reported like any other bad line."""
     parsed = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    parsed.append(parse(lineno, json.loads(line)))
-                except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
-                    raise ValueError(f"bad {what} at {path} line {lineno}: {exc!r}") from exc
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
+                    parsed.append(parse(lineno, parse_json(line)))
+            except UnicodeDecodeError as exc:  # its repr would hold the whole line
+                raise ValueError(f"bad {what} at {path} line {lineno}: {exc}") from exc
+            except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+                raise ValueError(f"bad {what} at {path} line {lineno}: {exc!r}") from exc
     return parsed
 
 

@@ -20,6 +20,7 @@ import time
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
+from .config import DEFAULTS
 from .decompose import DecompositionAgent, SubQueryPlan
 from .decision import (
     SOURCES,
@@ -29,7 +30,7 @@ from .decision import (
     unavailable_candidate,
 )
 from .errors import GatewayError, PipelineError, trace_warning
-from .gateway import CallLog, ModelGateway, run_in_threads
+from .gateway import CallLog, ModelGateway, parse_json, run_in_threads
 from .ingest import EmbeddingIndex, KnowledgeGraph
 from .graph_agent import GraphAgent
 from .templates import TemplateSet
@@ -47,13 +48,13 @@ _CHOICE_LABELS = "ABCDE"
 @dataclass(frozen=True)
 class PipelineConfig:
     enabled_agents: tuple[str, ...] = SOURCES
-    decision_enabled: bool = True
-    top_k: int = 5
-    tau: float = 0.3
-    fusion_lambda: float = 0.5
-    consensus_threshold: float = 0.5
-    summary_token_budget: int = 64
-    agent_timeout_s: float = 30.0
+    decision_enabled: bool = DEFAULTS["decision.enabled"]
+    top_k: int = DEFAULTS["retrieval.top_k"]
+    tau: float = DEFAULTS["graph.tau"]
+    fusion_lambda: float = DEFAULTS["decision.fusion_lambda"]
+    consensus_threshold: float = DEFAULTS["decision.consensus_threshold"]
+    summary_token_budget: int = DEFAULTS["decision.summary_token_budget"]
+    agent_timeout_s: float = DEFAULTS["orchestrator.agent_timeout_s"]
     search: SearchConfig = field(default_factory=SearchConfig)
 
     def __post_init__(self):
@@ -310,13 +311,14 @@ def run_eval(pipeline: Pipeline, dataset_path, keep_traces: bool = False) -> dic
     rows = []
     traces = []
     records = []
-    # split only at line ends: U+2028, U+2029 and U+0085 may sit raw inside a string
-    with open(dataset_path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    # split only at b"\n": U+2028, U+2029 and U+0085 may sit raw inside a string;
+    # each line is decoded in its handler, so a line that is not UTF-8 is skipped too
+    with open(dataset_path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
             try:
-                records.append(parse_eval_record(json.loads(line)))
+                line = raw.decode("utf-8")
+                if line.strip():
+                    records.append(parse_eval_record(parse_json(line)))
             except (ValueError, TypeError) as exc:
                 logger.warning("skipping malformed eval record at line %d: %s", lineno, exc)
                 skipped += 1

@@ -11,13 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DEFAULTS
 from .decision import AnswerCandidate, run_agent
 from .errors import EmbeddingError
 from .ingest import Chunk, EmbeddingIndex, check_embedding
 from .kernels import cosine_scores
 from .templates import TemplateSet
-
-DEFAULT_TOP_K = 5
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class VectorAgent:
 
     source = "vector"
 
-    def __init__(self, gateway, index: EmbeddingIndex, top_k: int = DEFAULT_TOP_K,
+    def __init__(self, gateway, index: EmbeddingIndex, top_k: int = DEFAULTS["retrieval.top_k"],
                  templates: TemplateSet | None = None):
         self._gateway = gateway
         self._index = index

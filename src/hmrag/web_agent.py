@@ -14,20 +14,19 @@ from dataclasses import dataclass
 
 import requests  # unused here, but tests patch it on this module to forbid network access
 
+from .config import DEFAULTS
 from .decision import AnswerCandidate, run_agent
 from .errors import ScriptMismatchError, SearchParseError
 from .gateway import ModelBackendConfig, json_headers, load_fixture, post_with_retries
 from .templates import TemplateSet
-
-DEFAULT_SEARCH_ENDPOINT = "https://google.serper.dev/search"
 
 _EMPTY_RESULTS = "(no web evidence retrieved)"
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    num_results: int = 5
-    language: str = "en"
+    num_results: int = DEFAULTS["web.num_results"]
+    language: str = DEFAULTS["web.language"]
 
     def __post_init__(self):
         if self.num_results < 1:
@@ -76,8 +75,9 @@ def parse_search_response(data: dict, cfg: SearchConfig, raw_payload: str = "") 
 
 
 class SerperSearchClient:
-    def __init__(self, endpoint: str = DEFAULT_SEARCH_ENDPOINT, api_key_env: str = "SERPER_API_KEY",
-                 timeout_s: float = 30.0, retries: int = 2):
+    def __init__(self, endpoint: str = DEFAULTS["web.search_endpoint"],
+                 api_key_env: str = DEFAULTS["web.api_key_env"],
+                 timeout_s: float = DEFAULTS["web.timeout_s"], retries: int = DEFAULTS["web.retries"]):
         # ModelBackendConfig rejects a non-positive timeout and negative retries,
         # before a missing API key is reported.
         self.config = ModelBackendConfig(endpoint, api_key_env=api_key_env,
@@ -91,7 +91,7 @@ class SerperSearchClient:
         response = post_with_retries(self.config, payload, self._headers)
         try:
             data = response.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
             raise SearchParseError(f"search response is not JSON: {exc}",
                                    raw_payload=response.text) from exc
         return parse_search_response(data, cfg, raw_payload=response.text)

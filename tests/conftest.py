@@ -2,6 +2,7 @@ import json
 import threading
 
 import pytest
+import requests
 from hypothesis import strategies as st
 from requests.structures import CaseInsensitiveDict
 
@@ -37,6 +38,19 @@ class FakeResponse:
         if self._payload is None:
             raise ValueError("not json")
         return self._payload
+
+
+# nested far past the `json` decoder's depth limit, where it raises RecursionError
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def decoding_response(body: str) -> requests.Response:
+    """A real 200 `requests.Response` over `body`, whose `json()` decodes it."""
+    response = requests.Response()
+    response.status_code = 200
+    response._content = body.encode("utf-8")
+    response.encoding = "utf-8"
+    return response
 
 
 class ConstantChatBackend:

@@ -1,4 +1,3 @@
-import inspect
 import re
 
 import pytest
@@ -6,10 +5,8 @@ import pytest
 from hmrag.cli import build_pipeline_config
 from hmrag.config import DEFAULTS, format_defaults, load_config, parse_config_text
 from hmrag.errors import ConfigError
-from hmrag.gateway import HashingEmbeddingBackend, ModelBackendConfig
 from hmrag.pipeline import PipelineConfig
 from hmrag.templates import TemplateSet, render
-from hmrag.web_agent import SearchConfig, SerperSearchClient
 
 
 def test_defaults_cover_every_backend_role():
@@ -19,25 +16,7 @@ def test_defaults_cover_every_backend_role():
 
 
 def test_cli_defaults_equal_the_library_defaults():
-    # each of these values is written twice: once in DEFAULTS, once as a parameter default
-    def default(fn, name):
-        return inspect.signature(fn).parameters[name].default
-
     assert build_pipeline_config(dict(DEFAULTS)) == PipelineConfig()
-    pairs = {
-        "embedding.dim": default(HashingEmbeddingBackend, "dim"),
-        "embedding.seed": default(HashingEmbeddingBackend, "seed"),
-        "web.num_results": default(SearchConfig, "num_results"),
-        "web.language": default(SearchConfig, "language"),
-        "web.search_endpoint": default(SerperSearchClient, "endpoint"),
-        "web.api_key_env": default(SerperSearchClient, "api_key_env"),
-        "web.timeout_s": default(SerperSearchClient, "timeout_s"),
-        "web.retries": default(SerperSearchClient, "retries"),
-    }
-    for role in ("chat", "lightweight_chat", "expert_chat", "embedding", "caption"):
-        pairs[f"{role}.timeout_s"] = default(ModelBackendConfig, "timeout_s")
-        pairs[f"{role}.retries"] = default(ModelBackendConfig, "retries")
-    assert {key: DEFAULTS[key] for key in pairs} == pairs
 
 
 def test_parse_coerces_known_types():
@@ -98,6 +77,13 @@ def test_load_config_honors_env_var(tmp_path, monkeypatch):
     path.write_text("graph.tau = 0.9\n", encoding="utf-8")
     monkeypatch.setenv("HMRAG_CONFIG", str(path))
     assert load_config()["graph.tau"] == 0.9
+
+
+def test_load_config_names_the_file_and_line_that_is_not_utf8(tmp_path):
+    path = tmp_path / "hmrag.conf"
+    path.write_bytes(b"retrieval.top_k = 7\nweb.language = fran\xe7ais\n")
+    with pytest.raises(ConfigError, match=f"^config file {re.escape(str(path))} line 2 is not UTF-8"):
+        load_config(path)
 
 
 def test_load_config_missing_file_errors():

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import sys
 import threading
 
@@ -36,7 +37,10 @@ from hmrag.gateway import (
 )
 from hmrag.web_agent import SearchConfig, SearchResult, SerperSearchClient
 
-from conftest import JSON_VALUES, CountingChatBackend, FakeResponse, make_gateway, user_turns
+from conftest import (
+    DEEP_JSON, JSON_VALUES, CountingChatBackend, FakeResponse, decoding_response, make_gateway,
+    user_turns,
+)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -376,6 +380,25 @@ def test_http_non_json_body_is_gateway_error(monkeypatch):
     backend = HTTPChatBackend(ModelBackendConfig(endpoint="http://x"))
     with pytest.raises(GatewayError, match="malformed JSON"):
         backend.complete(user_turns("hi"), DecodingParams())
+
+
+@pytest.mark.parametrize("call", [
+    lambda config: HTTPChatBackend(config).complete(user_turns("hi"), DecodingParams()),
+    lambda config: HTTPEmbeddingBackend(config).embed("hi"),
+    lambda config: HTTPCaptionBackend(config).caption("https://example.org/pic.jpg"),
+], ids=["chat", "embedding", "caption"])
+def test_http_body_nested_too_deeply_is_gateway_error(monkeypatch, call):
+    monkeypatch.setattr(gateway_mod.requests, "post", lambda url, **kw: decoding_response(DEEP_JSON))
+    with pytest.raises(GatewayError, match="malformed JSON"):
+        call(ModelBackendConfig(endpoint="http://x"))
+
+
+def test_fixture_nested_too_deeply_is_a_value_error_naming_it(tmp_path):
+    path = tmp_path / "chat.json"
+    path.write_text(DEEP_JSON, encoding="utf-8")
+    with pytest.raises(ValueError, match=f"chat fixture {re.escape(str(path))} is not JSON: "
+                                         "JSON nested too deeply"):
+        ScriptedChatBackend.from_file(path)
 
 
 def test_http_embedding_wire_format(monkeypatch):

@@ -17,7 +17,7 @@ from hmrag.graph_agent import (
 from hmrag.ingest import KnowledgeGraph
 from hmrag.templates import TemplateSet
 
-from conftest import make_gateway, user_turns
+from conftest import DEEP_JSON, make_gateway, user_turns
 
 TEMPLATES = TemplateSet()
 EMBED = HashingEmbeddingBackend(dim=16, seed=3).embed
@@ -56,7 +56,8 @@ def test_extract_keywords_parses_json(response):
     '{"local_keywords": ["quartz", null], "global_keywords": []}',
     '{"local_keywords": ["quartz"], "global_keywords": [3]}',
     '{"local_keywords": [{"a": 1}], "global_keywords": ["rocks"]}',
-], ids=["not_json", "null_keyword", "number_keyword", "object_keyword"])
+    DEEP_JSON,
+], ids=["not_json", "null_keyword", "number_keyword", "object_keyword", "nested_too_deeply"])
 def test_extract_keywords_fallback_on_malformed_response(response):
     chat = ScriptedChatBackend().add(keyword_turns("Which rocks contain quartz?"), response)
     agent = GraphAgent(make_gateway(chat=chat), chain_graph(), templates=TEMPLATES)

@@ -26,7 +26,7 @@ from hmrag.ingest import (
 )
 from hmrag.templates import TemplateSet
 
-from conftest import make_gateway, user_turns
+from conftest import DEEP_JSON, make_gateway, user_turns
 
 
 TEMPLATES = TemplateSet()
@@ -463,6 +463,35 @@ def test_load_corpus_reports_bad_line(tmp_path):
     path.write_text('{"id": "a", "text": "x"}\nnot json\n', encoding="utf-8")
     with pytest.raises(ValueError, match="line 2"):
         load_corpus(path)
+
+
+def _write_store(kind, path):
+    """A good one-record store of `kind` at `path`, as `load` reads it."""
+    if kind == "corpus":
+        path.write_text(json.dumps({"id": "a", "text": "x"}) + "\n", encoding="utf-8")
+    elif kind == "index":
+        EmbeddingIndex(2, ["a"], ["x"], np.eye(1, 2)).save(path)
+    else:
+        graph = KnowledgeGraph()
+        graph.add_entity("Sun", "star")
+        graph.save(path)
+    return {"corpus": load_corpus, "index": EmbeddingIndex.load, "graph": KnowledgeGraph.load}[kind]
+
+
+@pytest.mark.parametrize("bad_line, error", [
+    (DEEP_JSON.encode("utf-8"), "JSON nested too deeply to decode"),
+    (b'{"id": "b", "text": "caf\xe9"}', "'utf-8' codec can't decode byte 0xe9 in position 24"),
+], ids=["nested_too_deeply", "not_utf8"])
+@pytest.mark.parametrize("kind", ["corpus", "index", "graph"])
+def test_a_line_that_cannot_be_decoded_names_its_file_and_line(tmp_path, kind, bad_line, error):
+    path = tmp_path / f"{kind}.jsonl"
+    load = _write_store(kind, path)
+    good = path.read_bytes()
+    lineno = good.count(b"\n") + 1
+    path.write_bytes(good + bad_line + b"\n")
+    with pytest.raises(ValueError, match=f"bad {kind} record at {re.escape(str(path))} "
+                                         f"line {lineno}: .*{error}"):
+        load(path)
 
 
 # str.splitlines also splits at these; the stores write them raw inside strings

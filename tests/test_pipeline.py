@@ -41,7 +41,8 @@ from hmrag.vector_agent import VectorAgent, build_prompt, top_k_by_vector
 from hmrag.web_agent import SearchConfig, SerperSearchClient, StubSearchClient, WebAgent
 
 from conftest import (
-    JSON_SCALARS, JSON_VALUES, ConstantChatBackend, CountingChatBackend, FakeResponse, user_turns,
+    DEEP_JSON, JSON_SCALARS, JSON_VALUES, ConstantChatBackend, CountingChatBackend, FakeResponse,
+    decoding_response, user_turns,
 )
 from world import EMBED_DIM, SUMMARY_BUDGET, build_world
 
@@ -385,6 +386,17 @@ def test_malformed_search_payload_degrades_web_candidate(small_world, payload):
     assert web_candidate.available is False
     assert any(w.startswith("web retrieval failed") for w in trace.entries[0].warnings)
     assert trace.final_answer == vector_text
+
+
+def test_search_reply_nested_too_deeply_degrades_web_candidate(small_world, monkeypatch):
+    monkeypatch.setattr(gateway_mod.requests, "post", lambda url, **kw: decoding_response(DEEP_JSON))
+    pipeline = small_world.make_pipeline(
+        web_client=SerperSearchClient("http://search.local", api_key_env=""))
+    entry = pipeline.run_query(format_eval_question(small_world.eval_records[0])).entries[0]
+    assert [(c.source, c.available) for c in entry.candidates] == [
+        ("vector", True), ("graph", True), ("web", False)]
+    assert len(entry.warnings) == 1
+    assert entry.warnings[0].startswith("web retrieval failed: search response is not JSON")
 
 
 @pytest.mark.parametrize("embedding", [None, "abc", [[1.0], [1.0, 2.0]], [], [1.0, float("nan")],
@@ -773,6 +785,17 @@ def test_run_eval_skips_lines_that_are_not_objects(tmp_path, small_world):
     report = run_eval(small_world.make_pipeline(), dataset)
     assert report["total"] == 0
     assert report["skipped"] == 2
+
+
+def test_run_eval_skips_lines_that_cannot_be_decoded(tmp_path, small_world):
+    record = small_world.eval_records[0]
+    good = json.dumps({"id": record.id, "question": record.question,
+                       "choices": list(record.choices), "answer": record.answer})
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_bytes(DEEP_JSON.encode("utf-8") + b"\n" + b'{"question": "caf\xe9"}\n'
+                        + good.encode("utf-8") + b"\n")
+    report = run_eval(small_world.make_pipeline(), dataset)
+    assert (report["total"], report["correct"], report["skipped"]) == (1, 1, 2)
 
 
 def test_run_eval_skips_an_answer_that_is_a_bool(tmp_path, small_world):

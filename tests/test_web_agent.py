@@ -16,7 +16,7 @@ from hmrag.web_agent import (
     format_results,
 )
 
-from conftest import FakeResponse, make_gateway, user_turns
+from conftest import DEEP_JSON, FakeResponse, decoding_response, make_gateway, user_turns
 
 TEMPLATES = TemplateSet()
 
@@ -96,6 +96,13 @@ def test_live_client_wire_format(monkeypatch):
     assert captured["payload"] == {"q": "largest planet", "num": 3, "hl": "en"}
     assert captured["headers"]["X-API-KEY"] == "serper-test"
     assert len(results) == 3
+
+
+def test_live_client_body_nested_too_deeply_is_parse_error(monkeypatch):
+    monkeypatch.setattr(web_mod.requests, "post", lambda url, **kw: decoding_response(DEEP_JSON))
+    client = SerperSearchClient(api_key_env="")
+    with pytest.raises(SearchParseError, match="search response is not JSON"):
+        client.search("q", SearchConfig())
 
 
 def test_live_client_requires_api_key(monkeypatch):
