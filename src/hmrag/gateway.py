@@ -1,8 +1,8 @@
 """Uniform access to chat, embedding, and caption models.
 
 Backends are pluggable: HTTP clients speaking the common chat-completions
-and embeddings JSON wire formats over one transport (`post_with_retries`,
-which web search uses too), plus deterministic scripted doubles for tests
+and embeddings JSON wire formats, built on the one HTTP client (`_HTTPClient`)
+that web search builds on too, plus deterministic scripted doubles for tests
 and offline runs. A chat call is one user turn sent with temperature 0 and
 top_p 1, so every call is reproducible given the same backend state.
 """
@@ -20,6 +20,7 @@ import os
 import random
 import threading
 import time
+import urllib.parse
 from contextlib import contextmanager
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass
@@ -310,19 +311,6 @@ class ScriptedCaptionBackend:
             raise ScriptMismatchError(f"no scripted caption for {image_ref!r}") from None
 
 
-def json_headers(key_env: str, key_header: str, key_prefix: str = "") -> dict[str, str]:
-    """JSON request headers, plus `key_header` carrying the API key read from
-    the environment variable `key_env` when one is named. A client builds its
-    headers once, when it is built, so a missing key fails before any request."""
-    headers = {"Content-Type": "application/json"}
-    if key_env:
-        key = os.environ.get(key_env)
-        if not key:
-            raise ConfigError(f"environment variable {key_env!r} is not set")
-        headers[key_header] = key_prefix + key
-    return headers
-
-
 def _retry_wait_s(retry: int, response) -> float:
     """Seconds to wait before retry number `retry` (from 1), after `response`, or
     after a connection failure when None: a 429 or 503 response's Retry-After
@@ -335,52 +323,63 @@ def _retry_wait_s(retry: int, response) -> float:
     return ceiling * random.uniform(0.5, 1.0)
 
 
-def post_with_retries(config: ModelBackendConfig, payload: dict, headers: dict) -> requests.Response:
-    """POST JSON to `config.endpoint`: the one HTTP transport of the package.
-
-    Connection failures, 429 and 5xx responses are retried up to
-    `config.retries` times, each retry after a `_retry_wait_s` wait; any other
-    4xx raises GatewayError at once. Returns the status-checked response; each
-    caller decodes the body itself.
-    """
-    url = config.endpoint
-    last_error: Exception | None = None
-    response = None
-    for attempt in range(config.retries + 1):
-        if attempt:
-            _sleep(_retry_wait_s(attempt, response))
-        try:
-            response = requests.post(url, json=payload, headers=headers, timeout=config.timeout_s)
-        except requests.RequestException as exc:
-            last_error, response = exc, None
-            continue
-        if response.status_code >= 500 or response.status_code == 429:
-            last_error = GatewayError(f"status {response.status_code} from {url}")
-            continue
-        if response.status_code >= 400:
-            raise GatewayError(
-                f"request rejected with status {response.status_code}: {response.text[:200]}"
-            )
-        return response
-    raise BackendUnavailableError(
-        f"backend at {url} unreachable after {config.retries + 1} attempts: {last_error}"
-    )
-
-
-class _HTTPModelClient:
-    """Endpoint check, authorised POST and chat-completions codec shared by
-    the HTTP model clients."""
+class _HTTPClient:
+    """The one client of every JSON-over-HTTP service: built, it checks its
+    endpoint and reads its API key, so neither fails at a request; it then
+    POSTs JSON with retries. Each subclass adds its wire format."""
 
     kind: str  # names the client in error messages
+    key_header, key_prefix = "Authorization", "Bearer "  # carry the key from `config.api_key_env`
 
     def __init__(self, config: ModelBackendConfig):
-        if not config.endpoint:
-            raise ConfigError(f"{self.kind} backend needs an endpoint")
+        try:
+            url = urllib.parse.urlsplit(config.endpoint)
+        except ValueError:  # an unbalanced IPv6 bracket
+            url = None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(f"{self.kind} backend needs an http or https endpoint with a host, "
+                              f"got {config.endpoint!r}")
         self.config = config
-        self._headers = json_headers(config.api_key_env, "Authorization", "Bearer ")
+        self._headers = {"Content-Type": "application/json"}
+        if config.api_key_env:
+            key = os.environ.get(config.api_key_env)
+            if not key:
+                raise ConfigError(f"environment variable {config.api_key_env!r} is not set")
+            self._headers[self.key_header] = self.key_prefix + key
+
+    def _send(self, payload: dict) -> requests.Response:
+        """POST `payload` as JSON; returns the status-checked response. Connection
+        failures, timeouts, 429 and 5xx are retried up to `config.retries` times,
+        each after a `_retry_wait_s` wait. Any other 4xx, and a request that can
+        never be sent (a `requests` error that is a ValueError), raise GatewayError."""
+        config, url = self.config, self.config.endpoint
+        last_error: Exception | None = None
+        response = None
+        for attempt in range(config.retries + 1):
+            if attempt:
+                _sleep(_retry_wait_s(attempt, response))
+            try:
+                response = requests.post(url, json=payload, headers=self._headers,
+                                         timeout=config.timeout_s)
+            except requests.RequestException as exc:
+                if isinstance(exc, ValueError):  # a bad URL or header value: no retry can send it
+                    raise GatewayError(f"request to {url} cannot be sent: {exc}") from exc
+                last_error, response = exc, None
+                continue
+            if response.status_code >= 500 or response.status_code == 429:
+                last_error = GatewayError(f"status {response.status_code} from {url}")
+                continue
+            if response.status_code >= 400:
+                raise GatewayError(
+                    f"request rejected with status {response.status_code}: {response.text[:200]}"
+                )
+            return response
+        raise BackendUnavailableError(
+            f"backend at {url} unreachable after {config.retries + 1} attempts: {last_error}"
+        )
 
     def _post(self, payload: dict):
-        response = post_with_retries(self.config, payload, self._headers)
+        response = self._send(payload)
         try:
             return response.json()
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
@@ -403,7 +402,7 @@ class _HTTPModelClient:
         return reply
 
 
-class HTTPChatBackend(_HTTPModelClient):
+class HTTPChatBackend(_HTTPClient):
     """Chat-completions client; works against any compatible server."""
 
     kind = "chat"
@@ -425,7 +424,7 @@ def check_vector_entries(values) -> np.ndarray:
     return row
 
 
-class HTTPEmbeddingBackend(_HTTPModelClient):
+class HTTPEmbeddingBackend(_HTTPClient):
     """Embeddings client speaking the input/embedding JSON wire format."""
 
     kind = "embedding"
@@ -438,7 +437,7 @@ class HTTPEmbeddingBackend(_HTTPModelClient):
             raise GatewayError(f"unexpected embedding response: {exc}") from exc
 
 
-class HTTPCaptionBackend(_HTTPModelClient):
+class HTTPCaptionBackend(_HTTPClient):
     """Caption client: a vision-style chat-completions call per image."""
 
     kind = "caption"

@@ -209,6 +209,9 @@ class KnowledgeGraph:
     def add_entity(self, name: str, description: str = "", visual_location: str | None = None) -> Entity:
         if not name or not name.strip():
             raise ValueError("entity name must be non-empty")
+        if not isinstance(description, str) or not isinstance(visual_location, (str, type(None))):
+            raise TypeError(f"entity description must be text and visual location text or null, "
+                            f"got {description!r:.80} and {visual_location!r:.80}")
         key = name.casefold()
         entity = self._entities.get(key)
         if entity is None:

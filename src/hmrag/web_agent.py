@@ -1,7 +1,7 @@
 """Web retrieval through a Serper-compatible search endpoint.
 
-The live client POSTs ``{q, num, hl}`` with an X-API-KEY header through
-the gateway's HTTP transport and reads the ``organic`` array
+The live client POSTs ``{q, num, hl}`` with an X-API-KEY header as a
+subclass of the gateway's one HTTP client and reads the ``organic`` array
 (title/snippet/link/position). A file-backed stub serves the same JSON
 keyed by query so tests and offline runs never touch the network.
 Answers carry their source URLs as evidence.
@@ -17,7 +17,7 @@ import requests  # unused here, but tests patch it on this module to forbid netw
 from .config import DEFAULTS
 from .decision import AnswerCandidate, run_agent
 from .errors import ScriptMismatchError, SearchParseError
-from .gateway import ModelBackendConfig, json_headers, load_fixture, post_with_retries
+from .gateway import ModelBackendConfig, _HTTPClient, load_fixture
 from .templates import TemplateSet
 
 _EMPTY_RESULTS = "(no web evidence retrieved)"
@@ -74,21 +74,22 @@ def parse_search_response(data: dict, cfg: SearchConfig, raw_payload: str = "") 
     return results[: cfg.num_results]
 
 
-class SerperSearchClient:
+class SerperSearchClient(_HTTPClient):
+    kind = "search"
+    key_header, key_prefix = "X-API-KEY", ""
+
     def __init__(self, endpoint: str = DEFAULTS["web.search_endpoint"],
                  api_key_env: str = DEFAULTS["web.api_key_env"],
                  timeout_s: float = DEFAULTS["web.timeout_s"], retries: int = DEFAULTS["web.retries"]):
         # ModelBackendConfig rejects a non-positive timeout and negative retries,
-        # before a missing API key is reported.
-        self.config = ModelBackendConfig(endpoint, api_key_env=api_key_env,
-                                         timeout_s=timeout_s, retries=retries)
-        self._headers = json_headers(api_key_env, "X-API-KEY")
+        # before the base checks the endpoint and reads the API key.
+        super().__init__(ModelBackendConfig(endpoint, api_key_env=api_key_env,
+                                            timeout_s=timeout_s, retries=retries))
 
     def search(self, query: str, cfg: SearchConfig) -> list[SearchResult]:
         if not query or not query.strip():
             raise ValueError("query must be non-empty")
-        payload = {"q": query, "num": cfg.num_results, "hl": cfg.language}
-        response = post_with_retries(self.config, payload, self._headers)
+        response = self._send({"q": query, "num": cfg.num_results, "hl": cfg.language})
         try:
             data = response.json()
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply to decode

@@ -393,6 +393,25 @@ def _config_with(world_dir, tmp_path, *lines):
     return config
 
 
+@pytest.mark.parametrize("lines, error", [
+    (["chat.backend = scripted", "chat.fixture = "], "chat.backend = scripted needs chat.fixture"),
+    (["chat.backend = inherit"], "chat.backend must not be 'inherit'"),
+    (["web.backend = stub", "web.stub_fixture_path = "],
+     "web.backend = stub needs web.stub_fixture_path"),
+], ids=["scripted_chat_without_fixture", "inherited_chat", "stub_web_without_fixture"])
+def test_incomplete_backend_setting_stops_query_before_any_backend_call(
+        world_dir, store_dir, tmp_path, capsys, monkeypatch, backend_calls, lines, error):
+    posts = []
+    monkeypatch.setattr(gateway_mod.requests, "post", lambda url, **kwargs: posts.append(url))
+    config = _config_with(world_dir, tmp_path, *lines)
+    code, out, err = run_cli([
+        "query", "--store", str(store_dir), "--config", str(config), "anything?",
+    ], capsys)
+    assert code == 1
+    assert err == f"error: {error}\n"
+    assert backend_calls == [] and posts == []
+
+
 @pytest.mark.parametrize("size, overlap, error", [
     (64, 64, "overlap must satisfy 0 <= overlap < chunk_size, got 64"),
     (64, 512, "overlap must satisfy 0 <= overlap < chunk_size, got 512"),
@@ -544,6 +563,26 @@ def test_pipeline_error_prints_its_trace(world_dir, store_dir, capsys, monkeypat
     trace = json.loads(rest)
     assert trace["question"] == question
     assert any("embedding down" in w for e in trace["entries"] for w in e["warnings"])
+
+
+def test_pipeline_error_without_the_decision_stage_prints_its_trace(
+        world_dir, store_dir, capsys, monkeypatch):
+    def down(self, text):
+        raise BackendUnavailableError("embedding down")
+
+    monkeypatch.setattr(HashingEmbeddingBackend, "embed", down)
+    question = format_eval_question(world_dir.eval_records[0])
+    code, out, err = run_cli([
+        "query", "--store", str(store_dir), "--config", str(world_dir.paths["config"]),
+        "--disable-agent", "graph", "--disable-agent", "web", "--no-decision", question,
+    ], capsys)
+    assert code == 1
+    first, _, rest = err.partition("\n")
+    assert first == "error: no available answer candidates to decide over"
+    entry = json.loads(rest)["entries"][0]
+    assert [(c["source"], c["available"]) for c in entry["candidates"]] == [("vector", False)]
+    assert entry["report"] is None
+    assert any("embedding down" in w for w in entry["warnings"])
 
 
 def test_ingest_that_fails_at_one_document_names_it_and_writes_no_store(tmp_path, capsys):

@@ -85,6 +85,10 @@ def test_bleu_empty_candidate_scores_zero():
     assert bleu([], list("ab")) == 0.0
 
 
+def test_bleu_empty_reference_scores_zero():
+    assert bleu(list("ab"), []) == 0.0
+
+
 @given(tokens, tokens)
 @settings(max_examples=100, deadline=None)
 def test_bleu_bounded(a, b):

@@ -274,6 +274,61 @@ def test_http_4xx_fails_without_retry(monkeypatch, retry_waits):
     assert len(attempts) == 1 and retry_waits == []
 
 
+# each HTTP client built from a model config, and one request made through it
+_BUILD_HTTP_CLIENT = {
+    "chat": HTTPChatBackend,
+    "embedding": HTTPEmbeddingBackend,
+    "caption": HTTPCaptionBackend,
+    "search": lambda config: SerperSearchClient(config.endpoint, config.api_key_env,
+                                                config.timeout_s, config.retries),
+}
+_ONE_REQUEST = {
+    "chat": lambda client: client.complete(user_turns("hi"), DecodingParams()),
+    "embedding": lambda client: client.embed("hello"),
+    "caption": lambda client: client.caption("https://example.org/pic.jpg"),
+    "search": lambda client: client.search("q", SearchConfig()),
+}
+
+
+@pytest.mark.parametrize("endpoint", [
+    "", "localhost:8080/v1/chat/completions", "ftp://models.local/v1", "http://", "https:///v1",
+    "http://[::1/v1",
+], ids=["empty", "no_scheme", "ftp", "no_host", "empty_host", "unbalanced_ipv6"])
+@pytest.mark.parametrize("kind", sorted(_BUILD_HTTP_CLIENT))
+def test_an_endpoint_that_is_not_an_http_url_with_a_host_fails_when_the_client_is_built(
+        monkeypatch, kind, endpoint):
+    posts = []
+    monkeypatch.setattr(gateway_mod.requests, "post", lambda url, **kwargs: posts.append(url))
+    with pytest.raises(ConfigError, match=f"^{kind} backend needs an http or https endpoint "
+                                          f"with a host, got {re.escape(repr(endpoint))}$"):
+        _BUILD_HTTP_CLIENT[kind](ModelBackendConfig(endpoint=endpoint, api_key_env=""))
+    assert posts == []
+
+
+@pytest.mark.parametrize("endpoint, key", [
+    ("http://127.0.0.1:9/v1", "sk-test\n"), ("http://127.0.0.1:port/v1", "sk-test"),
+], ids=["key_ends_in_newline", "port_not_a_number"])
+@pytest.mark.parametrize("kind", sorted(_BUILD_HTTP_CLIENT))
+def test_a_request_that_can_never_be_sent_fails_at_once_without_a_retry(
+        monkeypatch, retry_waits, kind, endpoint, key):
+    attempts = []
+    real_post = requests.post  # refuses these before it opens any connection
+
+    def post(url, **kwargs):
+        attempts.append(url)
+        return real_post(url, **kwargs)
+
+    monkeypatch.setattr(gateway_mod.requests, "post", post)
+    monkeypatch.setenv("TEST_KEY", key)
+    client = _BUILD_HTTP_CLIENT[kind](
+        ModelBackendConfig(endpoint=endpoint, api_key_env="TEST_KEY", retries=2))
+    with pytest.raises(GatewayError, match=f"^request to {re.escape(endpoint)} cannot be sent: ") \
+            as exc_info:
+        _ONE_REQUEST[kind](client)
+    assert not isinstance(exc_info.value, BackendUnavailableError)
+    assert len(attempts) == 1 and retry_waits == []
+
+
 def post_in_turn(monkeypatch, responses):
     """Makes `requests.post` answer with `responses` in turn; returns the list of attempts."""
     attempts = []

@@ -285,6 +285,17 @@ def test_index_load_refuses_a_header_count_or_dim_that_is_not_an_integer(tmp_pat
         EmbeddingIndex.load(path)
 
 
+@pytest.mark.parametrize("count", [0, 3])
+def test_index_load_refuses_a_header_count_that_is_not_its_number_of_rows(tmp_path, count):
+    path = tmp_path / "index.jsonl"
+    path.write_text(json.dumps({"dim": 2, "count": count}) + "\n"
+                    + json.dumps({"chunk_id": "a", "vector": [1.0, 0.0], "text": "t"}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: index header says {count} "
+                                         "records, file has 1$"):
+        EmbeddingIndex.load(path)
+
+
 def test_index_load_takes_the_header_from_the_first_non_blank_line(tmp_path):
     index = EmbeddingIndex(2, ["a"], ["t"], np.eye(1, 2))
     path = tmp_path / "index.jsonl"
@@ -395,6 +406,20 @@ def test_extract_graph_attaches_visual_location(templates):
     assert graph.get_entity("flag").visual_location == "img/flag.png"
 
 
+def test_extract_graph_gives_a_text_first_entity_its_first_image(templates):
+    docs = [CorpusRecord("d1", "one"), CorpusRecord("d2", "two", image_ref="img/a.png"),
+            CorpusRecord("d3", "three", image_ref="img/b.png")]
+    chat = (
+        ScriptedChatBackend()
+        .add(extract_turns("one"), "ENTITY|flag|symbol")
+        .add(extract_turns("two"), "ENTITY|Flag|banner")
+        .add(extract_turns("three"), "ENTITY|FLAG|cloth")
+    )
+    graph = extract_graph(docs, make_gateway(chat=chat), templates)
+    assert [(e.name, e.description, e.visual_location) for e in graph.entities] == [
+        ("flag", "symbol", "img/a.png")]
+
+
 def test_graph_persist_roundtrip_and_idempotence(tmp_path):
     graph = KnowledgeGraph()
     graph.add_entity("Sun", "star", visual_location="img/sun.png")
@@ -410,6 +435,26 @@ def test_graph_persist_roundtrip_and_idempotence(tmp_path):
     assert loaded == graph
     loaded.save(path_b)
     assert path_a.read_bytes() == path_b.read_bytes()
+
+
+@pytest.mark.parametrize("record, error", [
+    ({"kind": "entity", "name": "Paris", "description": 7}, "TypeError"),
+    ({"kind": "entity", "name": "Paris", "description": {"a": [1, 2]}}, "TypeError"),
+    ({"kind": "entity", "name": "Paris", "description": "", "visual_location": 7}, "TypeError"),
+    ({"kind": "entity", "name": "Paris", "visual_location": {"a": [1, 2]}}, "TypeError"),
+    ({"kind": "node", "name": "Paris"}, "ValueError"),
+], ids=["number_description", "object_description", "number_visual_location",
+        "object_visual_location", "unknown_kind"])
+def test_graph_load_names_the_file_and_line_of_a_bad_record(tmp_path, record, error):
+    path = tmp_path / "graph.jsonl"
+    graph = KnowledgeGraph()
+    graph.add_entity("Sun", "star", visual_location="img/sun.png")
+    graph.save(path)
+    path.write_text(path.read_text(encoding="utf-8") + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^bad graph record at {re.escape(str(path))} line 2: "
+                                         f"{error}") as exc_info:
+        KnowledgeGraph.load(path)
+    assert type(exc_info.value.__cause__).__name__ == error
 
 
 def test_load_corpus_reads_jsonl(tmp_path):
