@@ -18,7 +18,7 @@ from .decision import AnswerCandidate, run_agent
 from .errors import trace_warning
 from .gateway import parse_json
 from .ingest import KnowledgeGraph, check_embedding
-from .kernels import cosine_scores
+from .kernels import block_rows, cosine_scores
 from .templates import TemplateSet
 
 _STOPWORDS = frozenset("""
@@ -67,16 +67,23 @@ class Subgraph:
 
 def _max_relevance(texts: list[str], keyword_vectors: list[np.ndarray], embed) -> np.ndarray:
     """Per-text maximum cosine against any keyword vector. The graph holds no
-    vectors, so one call's vectors need only match the first keyword vector."""
+    vectors, so one call's vectors need only match the first keyword vector.
+    Texts are embedded and scored one block of rows at a time, in order."""
     if not texts or not keyword_vectors:
         return np.zeros(len(texts), dtype=np.float64)
     dim = np.size(keyword_vectors[0])
-    matrix = np.empty((len(texts), dim), dtype=np.float64)
-    for row, text in enumerate(texts):
-        matrix[row] = check_embedding(embed(text), dim)
+    step = block_rows(dim)
+    block = np.empty((min(len(texts), step), dim), dtype=np.float64)
     best = np.full(len(texts), -np.inf, dtype=np.float64)
-    for vector in keyword_vectors:
-        best = np.maximum(best, cosine_scores(check_embedding(vector, dim), matrix))
+    for start in range(0, len(texts), step):
+        block_texts = texts[start:start + step]
+        rows = block[:len(block_texts)]
+        for row, text in enumerate(block_texts):
+            rows[row] = check_embedding(embed(text), dim)
+        block_best = best[start:start + len(block_texts)]
+        for vector in keyword_vectors:
+            scores = cosine_scores(check_embedding(vector, dim), rows)
+            np.maximum(block_best, scores, out=block_best)
     return best
 
 

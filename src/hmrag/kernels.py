@@ -3,7 +3,9 @@
 The two loops that dominate compute at eval time live here: cosine
 similarity of a query vector against every stored embedding (numpy),
 and the longest-common-subsequence length used by the consistency
-metric (exact integer arithmetic on Python ints). ``perfbench/run.py
+metric (exact integer arithmetic on Python ints). Scoring works in row
+blocks of `BLOCK_BYTES`, so its scratch memory does not grow with the
+number of rows. ``perfbench/run.py
 --trace 1`` times them at fixed sizes against independent references.
 """
 
@@ -12,11 +14,27 @@ from __future__ import annotations
 import numpy as np
 
 _SAFE_NORMS = (2.0 ** -500, 2.0 ** 500)  # norms whose squares and pairwise products stay normal
+BLOCK_BYTES = 1 << 20  # float64 rows one scoring step holds at once
+
+
+def block_rows(dim: int) -> int:
+    """Rows of `dim` float64 entries that fit in `BLOCK_BYTES`, at least one."""
+    return max(1, BLOCK_BYTES // (8 * max(dim, 1)))
 
 
 def _rescaled(vectors: np.ndarray) -> np.ndarray:
     """Each vector times the power of two that puts its largest absolute entry in [0.5, 1)."""
     return np.ldexp(vectors, -np.frexp(np.abs(vectors).max(axis=-1, keepdims=True))[1])
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """`np.linalg.norm(matrix, axis=1)` one block of rows at a time. Each row's
+    norm depends on that row alone, so the bits are the same."""
+    norms = np.empty(matrix.shape[0], dtype=np.float64)
+    step = block_rows(matrix.shape[1])
+    for start in range(0, matrix.shape[0], step):
+        norms[start:start + step] = np.linalg.norm(matrix[start:start + step], axis=1)
+    return norms
 
 
 def cosine_scores(query, matrix) -> np.ndarray:
@@ -46,7 +64,7 @@ def cosine_scores(query, matrix) -> np.ndarray:
         if not low <= query_norm <= high:
             query = _rescaled(query)
             query_norm = float(np.linalg.norm(query))
-        row_norms = np.linalg.norm(matrix, axis=1)
+        row_norms = _row_norms(matrix)
         dots = matrix @ query
     unsafe = np.flatnonzero(~((row_norms >= low) & (row_norms <= high)))
     if unsafe.size:

@@ -1,5 +1,6 @@
 import json
 import threading
+import tracemalloc
 
 import pytest
 import requests
@@ -149,3 +150,13 @@ def scripted(*entries):
     for turns, response in entries:
         backend.add(turns, response)
     return backend
+
+
+def traced_peak(function, *args):
+    """The peak of traced allocations while `function(*args)` runs."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

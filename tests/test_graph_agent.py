@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from hmrag import kernels
 from hmrag.decision import AnswerCandidate
-from hmrag.errors import BackendUnavailableError
+from hmrag.errors import BackendUnavailableError, EmbeddingError
 from hmrag.gateway import HashingEmbeddingBackend, ScriptedChatBackend
 from hmrag.graph_agent import (
     GraphAgent,
     KeywordSet,
     Subgraph,
+    _max_relevance,
     expand_one_hop,
     fallback_keywords,
     make_keyword_set,
@@ -17,7 +19,7 @@ from hmrag.graph_agent import (
 from hmrag.ingest import KnowledgeGraph
 from hmrag.templates import TemplateSet
 
-from conftest import DEEP_JSON, make_gateway, user_turns
+from conftest import DEEP_JSON, make_gateway, traced_peak, user_turns
 
 TEMPLATES = TemplateSet()
 EMBED = HashingEmbeddingBackend(dim=16, seed=3).embed
@@ -124,6 +126,65 @@ def test_retrieve_subgraph_validates_inputs():
         retrieve_subgraph(make_keyword_set(["x"], []), KnowledgeGraph(), 0.3, EMBED)
     with pytest.raises(ValueError):
         retrieve_subgraph(make_keyword_set(["x"], []), chain_graph(), 1.5, EMBED)
+
+
+ROWS_PER_BLOCK = kernels.block_rows(64)
+
+
+def recording_embed(vectors, calls):
+    """Looks `text` up in `vectors` and records it, allocating nothing per call."""
+    def embed(text):
+        calls.append(text)
+        return vectors[text]
+    return embed
+
+
+@pytest.mark.parametrize("rows", [ROWS_PER_BLOCK // 2, 5 * ROWS_PER_BLOCK + 3],
+                         ids=["one_block", "six_blocks"])
+def test_max_relevance_embeds_in_order_and_scores_as_one_matrix(rows):
+    rng = np.random.default_rng(rows)
+    texts = [f"t{i % (rows - 7)}" for i in range(rows)]  # a few texts repeat
+    vectors = {text: rng.standard_normal(64) for text in texts}
+    vectors["t3"] = np.zeros(64)
+    keywords = [rng.standard_normal(64) for _ in range(3)]
+    calls = []
+    best = _max_relevance(texts, keywords, recording_embed(vectors, calls))
+    assert calls == texts
+    matrix = np.array([vectors[text] for text in texts])
+    whole = np.maximum.reduce([kernels.cosine_scores(k, matrix) for k in keywords])
+    if rows <= ROWS_PER_BLOCK:
+        assert np.array_equal(best, whole)
+    else:  # BLAS may round a row's dot product differently in another block
+        assert np.allclose(best, whole, rtol=0, atol=1e-12)
+
+
+def test_max_relevance_error_row_raises_at_its_own_embedding_call():
+    texts = [f"t{i}" for i in range(3 * ROWS_PER_BLOCK)]
+    bad = ROWS_PER_BLOCK + 5
+    vectors = {text: np.ones(64) for text in texts}
+    vectors[texts[bad]] = np.ones(63)
+    calls = []
+    with pytest.raises(EmbeddingError, match=r"shape \(63,\)"):
+        _max_relevance(texts, [np.ones(64)], recording_embed(vectors, calls))
+    assert calls == texts[:bad + 1]
+
+
+@pytest.mark.parametrize("entities", [2_000, 20_000])
+def test_retrieve_subgraph_scratch_is_a_few_blocks_plus_a_few_words_per_row(entities):
+    rng = np.random.default_rng(entities)
+    graph = KnowledgeGraph()
+    names = [f"e{i}" for i in range(entities)]
+    for name in names:
+        graph.add_entity(name)
+    heads = rng.integers(entities, size=entities // 2)
+    for head, step in zip(heads, rng.integers(1, entities, size=entities // 2)):
+        graph.add_triplet(names[head], f"r{head % 50}", names[(head + step) % entities])
+    texts = names + [f"r{i}" for i in range(50)] + ["local", "global"]
+    vectors = {text: rng.standard_normal(64) for text in texts}
+    peak = traced_peak(retrieve_subgraph, make_keyword_set(["local"], ["global"]), graph, 0.3,
+                       vectors.__getitem__)
+    rows = entities + graph.triplet_count
+    assert peak < 2 * kernels.BLOCK_BYTES + 48 * rows, peak / (rows * 64 * 8)
 
 
 def test_expand_one_hop_from_seed_only():

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from hmrag import kernels
 
+from conftest import traced_peak
+
 
 def lcs_reference(a, b):
     # textbook full-table DP, independent of the shipped kernels
@@ -68,3 +70,31 @@ def test_cosine_zero_rows_score_zero():
 def test_cosine_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         kernels.cosine_scores(np.ones(3), np.ones((2, 8)))
+
+
+ROWS_PER_BLOCK = kernels.block_rows(64)
+
+
+@pytest.mark.parametrize("rows", [1, ROWS_PER_BLOCK - 1, ROWS_PER_BLOCK, ROWS_PER_BLOCK + 1,
+                                  5 * ROWS_PER_BLOCK + 3])
+def test_blocked_row_norms_equal_one_norm_over_the_matrix(rows):
+    matrix = np.random.default_rng(rows).standard_normal((rows, 64))
+    matrix[3::7] = 0.0
+    matrix[1::11] *= 2.0 ** 600  # norms outside _SAFE_NORMS, up to overflow
+    matrix[2::13] *= 2.0 ** -600
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+        assert np.array_equal(kernels._row_norms(matrix), norms)
+    # rows in range score bit for bit as the unblocked formula does
+    safe = (norms >= kernels._SAFE_NORMS[0]) & (norms <= kernels._SAFE_NORMS[1])
+    query = np.random.default_rng(0).standard_normal(64)
+    whole = (matrix @ query)[safe] / (np.linalg.norm(query) * norms[safe])
+    assert np.array_equal(kernels.cosine_scores(query, matrix)[safe], whole)
+
+
+@pytest.mark.parametrize("rows", [2_000, 20_000, 100_000])
+def test_cosine_scratch_is_one_block_plus_a_few_floats_per_row(rows):
+    rng = np.random.default_rng(1)
+    matrix = rng.standard_normal((rows, 64))
+    peak = traced_peak(kernels.cosine_scores, rng.standard_normal(64), matrix)
+    assert peak < kernels.BLOCK_BYTES + 48 * rows, peak / matrix.nbytes
