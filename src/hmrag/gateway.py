@@ -106,7 +106,7 @@ class CallLog:
 
     `collect()` opens a fresh list in the current context, and `record`
     appends to whatever list is open there; a call made outside `collect()`
-    is dropped. A task of `run_in_threads` records into a list of its own,
+    is dropped. A task of `start_in_threads` records into a list of its own,
     which joins the caller's list only if the task finishes in time. Threads
     that share a list need no lock: `list.append` is atomic.
     """
@@ -126,28 +126,42 @@ class CallLog:
             _open_calls.reset(token)
 
 
-def run_in_threads(calls, timeout: float | None = None) -> list:
-    """Run each zero-argument call on its own thread and wait up to `timeout`
-    seconds for all of them: the one way the package runs work concurrently.
+def start_in_threads(calls):
+    """Start each zero-argument call on its own thread: the one way the package
+    runs work concurrently. Returns `wait(timeout=None)`, to be called once,
+    which waits up to `timeout` seconds for all of them and returns, per call,
+    its future if it has finished by then, else None.
 
     Each call runs in a copy of the caller's context with a call list of its
-    own. Returns, per call, its future if it has finished by then, else None,
-    and appends the finished calls' lists to the caller's list in call order;
-    an unfinished call ends in the background and adds none of its calls.
+    own. `wait` inserts the finished calls' lists into the caller's list in
+    call order, where that list ended when they started; an unfinished call
+    ends in the background and adds none of its calls.
     """
     caller_calls = _open_calls.get()
+    position = None if caller_calls is None else len(caller_calls)
     contexts = [copy_context() for _ in calls]
     for context in contexts:
         context.run(_open_calls.set, None if caller_calls is None else [])
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=len(calls) or 1)
     futures = [pool.submit(context.run, call) for context, call in zip(contexts, calls)]
-    done, _ = concurrent.futures.wait(futures, timeout=timeout)
-    pool.shutdown(wait=False)  # so an unfinished call cannot stall the caller
-    finished = [future if future in done else None for future in futures]
-    if caller_calls is not None:
-        caller_calls.extend(record for context, future in zip(contexts, finished)
-                            if future is not None for record in context[_open_calls])
-    return finished
+    pool.shutdown(wait=False)  # the submitted calls still run; nothing waits on the pool
+
+    def wait(timeout: float | None = None) -> list:
+        done, _ = concurrent.futures.wait(futures, timeout=timeout)
+        finished = [future if future in done else None for future in futures]
+        if caller_calls is not None:
+            caller_calls[position:position] = [
+                record for context, future in zip(contexts, finished)
+                if future is not None for record in context[_open_calls]]
+        return finished
+
+    return wait
+
+
+def run_in_threads(calls, timeout: float | None = None) -> list:
+    """`start_in_threads(calls)`, then its `wait(timeout)`: the finished calls'
+    records follow every call the caller made before."""
+    return start_in_threads(calls)(timeout)
 
 
 def map_in_threads(function, items) -> list:

@@ -9,6 +9,7 @@ and triplet endpoints before being serialized for answer generation.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .config import DEFAULTS
 from .decision import AnswerCandidate, run_agent
 from .errors import trace_warning
-from .gateway import parse_json
+from .gateway import parse_json, start_in_threads
 from .ingest import KnowledgeGraph, check_embedding
 from .kernels import block_rows, cosine_scores
 from .templates import TemplateSet
@@ -65,10 +66,13 @@ class Subgraph:
     expanded_entities: frozenset[str]
 
 
-def _max_relevance(texts: list[str], keyword_vectors: list[np.ndarray], embed) -> np.ndarray:
+def _max_relevance(texts: list[str], keyword_vectors: list[np.ndarray], embed,
+                   embedded=()) -> np.ndarray:
     """Per-text maximum cosine against any keyword vector. The graph holds no
     vectors, so one call's vectors need only match the first keyword vector.
-    Texts are embedded and scored one block of rows at a time, in order."""
+    Texts are embedded and scored one block of rows at a time, in order.
+    `embedded` holds the embeddings of the first texts, made beforehand; an
+    exception among them is raised where that text's embedding call would be."""
     if not texts or not keyword_vectors:
         return np.zeros(len(texts), dtype=np.float64)
     dim = np.size(keyword_vectors[0])
@@ -79,7 +83,11 @@ def _max_relevance(texts: list[str], keyword_vectors: list[np.ndarray], embed) -
         block_texts = texts[start:start + step]
         rows = block[:len(block_texts)]
         for row, text in enumerate(block_texts):
-            rows[row] = check_embedding(embed(text), dim)
+            index = start + row
+            vector = embedded[index] if index < len(embedded) else embed(text)
+            if isinstance(vector, Exception):
+                raise vector
+            rows[row] = check_embedding(vector, dim)
         block_best = best[start:start + len(block_texts)]
         for vector in keyword_vectors:
             scores = cosine_scores(check_embedding(vector, dim), rows)
@@ -87,13 +95,30 @@ def _max_relevance(texts: list[str], keyword_vectors: list[np.ndarray], embed) -
     return best
 
 
-def retrieve_subgraph(keywords: KeywordSet, graph: KnowledgeGraph, tau: float, embed) -> Subgraph:
+def _embed_first_block(graph: KnowledgeGraph, embed) -> list:
+    """The embeddings of the graph's first entity names, in order: as many as
+    fill one block of rows at the first embedding's size. An embedding that
+    raises ends the list as its exception."""
+    vectors = []
+    try:
+        for entity in graph.entities:
+            vectors.append(embed(entity.name))
+            if len(vectors) == block_rows(np.size(vectors[0])):
+                break
+    except Exception as exc:  # raised only if scoring reaches that name
+        vectors.append(exc)
+    return vectors
+
+
+def retrieve_subgraph(keywords: KeywordSet, graph: KnowledgeGraph, tau: float, embed,
+                      *, entity_vectors=()) -> Subgraph:
     """Threshold-gated triplet selection, local entity phase first.
 
     Entities whose name scores above tau against a local keyword become
     seeds and pull in their incident triplets; relations scoring above
     tau against a global keyword pull in their triplet regardless of
-    entity matches.
+    entity matches. `entity_vectors` may hold the first entity names'
+    embeddings, as `_embed_first_block` makes them.
     """
     if len(graph) == 0:
         raise ValueError("cannot retrieve from an empty graph")
@@ -104,7 +129,7 @@ def retrieve_subgraph(keywords: KeywordSet, graph: KnowledgeGraph, tau: float, e
     global_vectors = [embed(k) for k in keywords.global_]
 
     entity_names = [e.name for e in graph.entities]
-    entity_scores = _max_relevance(entity_names, local_vectors, embed)
+    entity_scores = _max_relevance(entity_names, local_vectors, embed, entity_vectors)
     seeds = {name for name, score in zip(entity_names, entity_scores) if score > tau}
 
     triplets = graph.triplets
@@ -182,8 +207,15 @@ class GraphAgent:
         return parsed
 
     def retrieve(self, query: str, warnings: list[str] | None = None) -> Subgraph:
-        keywords = self.extract_keywords(query, warnings)
-        sub = retrieve_subgraph(keywords, self._graph, self._tau, self._gateway.embed_text)
+        # the keyword request runs while this thread embeds the first entity names,
+        # which need no keyword; a task's calls are listed where it started
+        wait = start_in_threads([functools.partial(self.extract_keywords, query, warnings)])
+        try:
+            entity_vectors = _embed_first_block(self._graph, self._gateway.embed_text)
+        finally:
+            (keywords,) = wait()
+        sub = retrieve_subgraph(keywords.result(), self._graph, self._tau,
+                                self._gateway.embed_text, entity_vectors=entity_vectors)
         return expand_one_hop(sub, self._graph)
 
     def answer(self, query: str, sub: Subgraph) -> AnswerCandidate:

@@ -42,6 +42,7 @@ logger = logging.getLogger(__name__)
 FALLBACK_ORDER = ("web", "vector", "graph")  # decision-disabled preference
 
 _CHOICE_LETTER = re.compile(r"\b([A-E])\b")
+_PARENTHESIZED_LETTER = re.compile(r"\(([A-E])\)")
 _CHOICE_LABELS = "ABCDE"
 
 
@@ -288,8 +289,10 @@ def _normalize_choice_text(text: str) -> str:
 
 
 def extract_choice(answer: str, choices) -> int | None:
-    """First standalone A-E letter in range, else exact choice-text match."""
-    for match in _CHOICE_LETTER.finditer(answer):
+    """First parenthesized A-E letter in range, else first standalone one in
+    range (so a sentence-initial article "A" loses to a later "(C)"), else
+    exact choice-text match."""
+    for match in (*_PARENTHESIZED_LETTER.finditer(answer), *_CHOICE_LETTER.finditer(answer)):
         idx = _CHOICE_LABELS.index(match.group(1))
         if idx < len(choices):
             return idx

@@ -34,6 +34,7 @@ from hmrag.gateway import (
     ScriptedChatBackend,
     map_in_threads,
     run_in_threads,
+    start_in_threads,
 )
 from hmrag.web_agent import SearchConfig, SearchResult, SerperSearchClient
 
@@ -625,6 +626,34 @@ def test_run_in_threads_drops_every_call_of_a_task_unfinished_at_the_deadline(ha
         gateway.embed_text("after")
     assert futures[0] is None and futures[1] is not None
     assert [r.detail for r in records] == ["quick", "after"]
+
+
+def test_start_in_threads_lists_finished_tasks_calls_where_the_round_started(hashing_backend):
+    log = CallLog()
+    gateway = make_gateway(embedding=hashing_backend, call_log=log)
+    quick_done, release, late_call_made = threading.Event(), threading.Event(), threading.Event()
+
+    def quick():
+        gateway.embed_text("quick")
+        quick_done.set()
+
+    def hung():
+        gateway.embed_text("hung, before the deadline")
+        assert release.wait(5)
+        gateway.embed_text("hung, after the deadline")
+        late_call_made.set()
+
+    with log.collect() as records:
+        gateway.embed_text("before")
+        wait = start_in_threads([hung, quick])
+        assert quick_done.wait(5)
+        gateway.embed_text("between start and wait")
+        futures = wait(timeout=0.5)
+        release.set()
+        assert late_call_made.wait(5)
+        gateway.embed_text("after")
+    assert futures[0] is None and futures[1] is not None
+    assert [r.detail for r in records] == ["before", "quick", "between start and wait", "after"]
 
 
 def test_run_in_threads_outside_collect_records_nothing(hashing_backend):

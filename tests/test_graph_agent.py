@@ -1,14 +1,17 @@
+import threading
+
 import numpy as np
 import pytest
 
 from hmrag import kernels
 from hmrag.decision import AnswerCandidate
-from hmrag.errors import BackendUnavailableError, EmbeddingError
-from hmrag.gateway import HashingEmbeddingBackend, ScriptedChatBackend
+from hmrag.errors import BackendUnavailableError, EmbeddingError, GatewayError
+from hmrag.gateway import CallLog, HashingEmbeddingBackend, ScriptedChatBackend
 from hmrag.graph_agent import (
     GraphAgent,
     KeywordSet,
     Subgraph,
+    _embed_first_block,
     _max_relevance,
     expand_one_hop,
     fallback_keywords,
@@ -185,6 +188,110 @@ def test_retrieve_subgraph_scratch_is_a_few_blocks_plus_a_few_words_per_row(enti
                        vectors.__getitem__)
     rows = entities + graph.triplet_count
     assert peak < 2 * kernels.BLOCK_BYTES + 48 * rows, peak / (rows * 64 * 8)
+
+
+class EmbedDouble:
+    """`EMBED`, except that `fault(text)` may stand in for a text's vector or raise."""
+
+    def __init__(self, fault=lambda text: None):
+        self.fault = fault
+
+    def embed(self, text):
+        vector = self.fault(text)
+        return EMBED(text) if vector is None else vector
+
+
+def test_keyword_request_runs_while_the_first_entity_names_are_embedded():
+    graph = chain_graph()
+    names = {entity.name for entity in graph.entities}
+    entity_embedded = threading.Event()
+
+    class KeywordsAfterAnEntityEmbedding:
+        def complete(self, turns, params):
+            # a serial agent embeds nothing while this request is open
+            assert entity_embedded.wait(5), "no entity name was embedded during the keyword request"
+            return KEYWORD_JSON
+
+    def note_entity(text):
+        if text in names:
+            entity_embedded.set()
+
+    log = CallLog()
+    gateway = make_gateway(chat=KeywordsAfterAnEntityEmbedding(),
+                           embedding=EmbedDouble(note_entity), call_log=log)
+    agent = GraphAgent(gateway, graph, templates=TEMPLATES)
+    with log.collect() as calls:
+        sub = agent.retrieve("q?")
+    keywords = make_keyword_set(["granite"], ["rock classification"])
+    assert sub == expand_one_hop(retrieve_subgraph(keywords, graph, 0.3, EMBED), graph)
+    # the keyword request is listed where it started, before the embeddings made beside it
+    assert [(call.kind, call.detail) for call in calls] == [
+        ("chat", TEMPLATES.render("keywords", question="q?")[:120]),
+        *[("embedding", text) for text in
+          ["A", "B", "C", "D", "granite", "rock classification", "r1", "r2", "r3"]]]
+
+
+def _serial_retrieve(agent, query):
+    """`GraphAgent.retrieve` with its stages one after another."""
+    keywords = agent.extract_keywords(query)
+    sub = retrieve_subgraph(keywords, agent._graph, agent._tau, agent._gateway.embed_text)
+    return expand_one_hop(sub, agent._graph)
+
+
+def _outcome(retrieve, agent, log):
+    with log.collect() as calls:
+        try:
+            result = retrieve(agent, "q?")
+        except Exception as exc:
+            result = (type(exc), str(exc))
+    return result, sorted(call.detail for call in calls)
+
+
+def _fails_on(bad):
+    def fault(text):
+        if text == bad:
+            raise GatewayError(f"embedding of {text!r} down")
+    return fault
+
+
+@pytest.mark.parametrize("keywords, fault, same_calls", [
+    (BackendUnavailableError("chat down"), _fails_on("A"), False),
+    ('{"local_keywords": [], "global_keywords": ["r2"]}', _fails_on("A"), False),
+    (KEYWORD_JSON, _fails_on("B"), True),
+    (KEYWORD_JSON, _fails_on("granite"), False),
+    (KEYWORD_JSON, lambda text: np.ones(2) if text == "A" else None, False),
+], ids=["keyword_error_wins", "unscored_entity_error_is_dropped", "entity_error",
+        "keyword_embedding_error_first", "wrong_length_first_entity"])
+def test_retrieve_raises_or_returns_what_the_serial_stages_do(keywords, fault, same_calls):
+    """Errors keep their stage order. The calls are the serial stages' calls,
+    except the first entity names embedded before an error ended the query or
+    where no local keyword scores them."""
+    class Chat:
+        def complete(self, turns, params):
+            if isinstance(keywords, Exception):
+                raise keywords
+            return keywords
+
+    log = CallLog()
+    agent = GraphAgent(make_gateway(chat=Chat(), embedding=EmbedDouble(fault), call_log=log),
+                       chain_graph(), templates=TEMPLATES)
+    overlapped, overlapped_calls = _outcome(GraphAgent.retrieve, agent, log)
+    serial, serial_calls = _outcome(_serial_retrieve, agent, log)
+    assert overlapped == serial
+    assert (overlapped_calls == serial_calls) is same_calls
+    assert set(serial_calls) <= set(overlapped_calls)
+
+
+def test_first_block_embeds_one_block_of_rows_at_the_first_vector_size():
+    names = [f"e{i}" for i in range(ROWS_PER_BLOCK + 3)]
+    graph = KnowledgeGraph()
+    for name in names:
+        graph.add_entity(name)
+    calls = []
+    vectors = _embed_first_block(graph, recording_embed(dict.fromkeys(names, np.ones(64)), calls))
+    assert calls == names[:ROWS_PER_BLOCK]
+    assert len(vectors) == ROWS_PER_BLOCK
+    assert _embed_first_block(KnowledgeGraph(), EMBED) == []
 
 
 def test_expand_one_hop_from_seed_only():

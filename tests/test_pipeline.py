@@ -372,6 +372,59 @@ def test_timed_out_agent_calls_stay_out_of_later_traces(small_world):
     assert all(sum(c.kind == "search" for c in t.calls) == 1 for t in later)
 
 
+LATE_ANSWER = "late answer from a timed-out graph agent"
+
+
+class LateKeywords:
+    """Chat double whose first keyword request outlives the agent timeout. It
+    answers unparseably once the next question asks for keywords, and that
+    request waits until the late graph agent has asked for its answer."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.keyword_head = TEMPLATES.render("keywords", question="\x00").split("\x00")[0]
+        self.answer_head = TEMPLATES.render("graph_answer", question="\x00", evidence="").split("\x00")[0]
+        self.hung = threading.Event()
+        self.next_question_asking = threading.Event()
+        self.late_answer_asked = threading.Event()
+
+    def complete(self, turns, params):
+        prompt = turns[0].content
+        if prompt.startswith(self.keyword_head):
+            if not self.hung.is_set():
+                self.hung.set()
+                self.next_question_asking.wait(5)
+                return "not json, so the late agent warns"
+            self.next_question_asking.set()
+            assert self.late_answer_asked.wait(5)
+        elif self.next_question_asking.is_set() and prompt.startswith(self.answer_head):
+            if not self.late_answer_asked.is_set():
+                self.late_answer_asked.set()
+                return LATE_ANSWER
+        return self.inner.complete(turns, params)
+
+
+def test_hung_keyword_request_times_out_the_graph_agent_alone(small_world):
+    questions = [format_eval_question(r) for r in small_world.eval_records]
+    pipeline = small_world.make_pipeline(agent_timeout_s=0.3)
+    chat = LateKeywords(pipeline._gateway._chat_backends["chat"])
+    pipeline._gateway._chat_backends = dict.fromkeys(pipeline._gateway._chat_backends, chat)
+    first = pipeline.run_query(questions[0])
+    entry = first.entries[0]
+    assert [(c.source, c.available) for c in entry.candidates] == [
+        ("vector", True), ("graph", False), ("web", True)]
+    assert entry.warnings == ["graph agent timed out after 0.3s"]
+    names = {e.name for e in small_world.graph.entities}
+    keyword_detail = TEMPLATES.render("keywords", question=entry.contextual_query)[:120]
+    assert not [c for c in first.calls if c.detail in names or c.detail == keyword_detail]
+    later = [pipeline.run_query(q) for q in questions[1:]]
+    assert chat.late_answer_asked.is_set()
+    clean = small_world.make_pipeline()
+    for trace, question in zip(later, questions[1:]):
+        assert trace.normalized() == clean.run_query(question).normalized()
+        assert LATE_ANSWER not in json.dumps(trace.normalized())
+
+
 @pytest.mark.parametrize("payload", [
     {"organic": [{"link": "https://a", "position": 1}, {"link": "https://b", "position": "two"}]},
     {"organic": [{"link": "https://a", "position": 1}, {"link": "https://b", "position": 1}]},
@@ -730,6 +783,8 @@ def test_extract_choice_rules():
     assert extract_choice("a tricky answer with no letter", choices) is None
     # out-of-range letters are skipped, later in-range letter wins
     assert extract_choice("E or rather D", choices) == 3
+    # a parenthesized letter beats a sentence-initial article "A"
+    assert extract_choice("A close reading gives (C).", choices) == 2
 
 
 def test_parse_eval_record_validation():

@@ -12,7 +12,7 @@ from hmrag.pipeline import format_eval_question
 
 from world import build_world
 
-WORLD_TRACES_SHA256 = "c7215f63314d0cf35c6ee5b24c2b6c3fba316823a9156569408dddf8e257f1cf"
+WORLD_TRACES_SHA256 = "4f6e72c071c4f13c399b879bfcec184de80cecebb95a7aea0d327f216249e5cf"
 
 ALL_AGENTS = ("vector", "graph", "web")
 PIPELINES = [  # (enabled agents, decision stage on)
