@@ -18,6 +18,7 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -346,9 +347,18 @@ def build_index(chunks: list[Chunk], gateway) -> EmbeddingIndex:
     ids = [c.chunk_id for c in chunks]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate chunk_id in chunk list")
-    vectors = map_in_threads(lambda chunk: gateway.embed_text(chunk.text), chunks)
-    # the first row's length is the index dimension every row must have
-    matrix = np.vstack([check_embedding(v, np.size(vectors[0])) for v in vectors])
+    matrix = None  # allocated once, at the length of the first embedding to arrive
+    allocate = threading.Lock()
+
+    def embed_row(i):
+        nonlocal matrix
+        vector = gateway.embed_text(chunks[i].text)
+        with allocate:
+            if matrix is None:
+                matrix = np.empty((len(chunks), np.size(vector)))
+        matrix[i] = check_embedding(vector, matrix.shape[1])  # every row has one length
+
+    map_in_threads(embed_row, range(len(chunks)))
     return EmbeddingIndex(matrix.shape[1], ids, [c.text for c in chunks], matrix)
 
 
@@ -398,8 +408,15 @@ def build_stores(records: list[CorpusRecord], gateway, templates: TemplateSet, c
                  ) -> tuple[EmbeddingIndex, KnowledgeGraph]:
     """The embedding index and knowledge graph of `records`: each record captioned,
     then chunked and embedded, and its graph extracted. The chunking settings are
-    checked before the first model call."""
+    checked before the first model call. A document whose captioned text is blank
+    is skipped with a warning."""
     check_chunking(chunk_size, overlap)
-    docs = map_in_threads(lambda record: caption_and_refine(record, gateway, templates), records)
+    docs = []
+    for doc in map_in_threads(lambda record: caption_and_refine(record, gateway, templates),
+                              records):
+        if doc.text.strip():
+            docs.append(doc)
+        else:
+            trace_warning(warnings, f"refined caption of document {doc.id!r} is blank; skipped")
     chunks = [chunk for doc in docs for chunk in chunk_document(doc, chunk_size, overlap)]
     return build_index(chunks, gateway), extract_graph(docs, gateway, templates, warnings)

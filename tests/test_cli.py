@@ -8,7 +8,7 @@ import hmrag.cli as cli_mod
 import hmrag.gateway as gateway_mod
 from hmrag.cli import main
 from hmrag.config import DEFAULTS
-from hmrag.errors import BackendUnavailableError, ConfigError
+from hmrag.errors import BackendUnavailableError, ConfigError, GatewayError
 from hmrag.gateway import HashingEmbeddingBackend, ScriptedCaptionBackend, ScriptedChatBackend
 from hmrag.ingest import EmbeddingIndex, KnowledgeGraph
 from hmrag.pipeline import format_eval_question
@@ -603,6 +603,30 @@ def test_ingest_that_fails_at_one_document_names_it_and_writes_no_store(tmp_path
         "ingest", "--corpus", str(corpus), "--out", str(store), "--config", str(config),
     ], capsys)
     assert (code, err) == (1, "error: no scripted caption for 'img/d7.png'\n")
+    assert list(store.iterdir()) == []
+
+
+def test_ingest_whose_embedding_fails_at_one_chunk_writes_no_store(tmp_path, capsys, monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": f"plain words {i}"}) + "\n"
+                              for i in range(12)), encoding="utf-8")
+    embed = HashingEmbeddingBackend.embed
+
+    def down_at_seven(self, text):
+        if text == "plain words 7":
+            raise GatewayError("embedding down at chunk d7")
+        return embed(self, text)
+
+    monkeypatch.setattr(HashingEmbeddingBackend, "embed", down_at_seven)
+    chat, config = tmp_path / "chat.json", tmp_path / "hmrag.conf"
+    chat.write_text("[]", encoding="utf-8")  # extraction would come after the index
+    config.write_text(f"chat.backend = scripted\nchat.fixture = {chat}\n"
+                      "embedding.backend = scripted\ncaption.backend = scripted\n", encoding="utf-8")
+    store = tmp_path / "store"
+    code, out, err = run_cli([
+        "ingest", "--corpus", str(corpus), "--out", str(store), "--config", str(config),
+    ], capsys)
+    assert (code, out, err) == (1, "", "error: embedding down at chunk d7\n")
     assert list(store.iterdir()) == []
 
 

@@ -9,8 +9,13 @@ import pytest
 
 import hmrag.gateway as gateway_mod
 from hmrag.config import DEFAULTS
-from hmrag.errors import EmbeddingError
-from hmrag.gateway import HashingEmbeddingBackend, ScriptedCaptionBackend, ScriptedChatBackend
+from hmrag.errors import EmbeddingError, GatewayError
+from hmrag.gateway import (
+    CallLog,
+    HashingEmbeddingBackend,
+    ScriptedCaptionBackend,
+    ScriptedChatBackend,
+)
 from hmrag.ingest import (
     Chunk,
     CorpusRecord,
@@ -26,7 +31,7 @@ from hmrag.ingest import (
 )
 from hmrag.templates import TemplateSet
 
-from conftest import DEEP_JSON, make_gateway, user_turns
+from conftest import DEEP_JSON, make_gateway, scripted, traced_peak, user_turns
 
 
 TEMPLATES = TemplateSet()
@@ -113,6 +118,28 @@ def test_build_stores_checks_chunking_before_any_model_call(templates):
         build_stores(records, gateway, templates, 4, 4)
 
 
+def test_build_stores_skips_a_document_whose_refined_caption_is_blank(hashing_backend):
+    """An image-only record whose refined caption is blank has no text: it is skipped
+    with one warning, in document order, and gets no extraction call."""
+    records = [CorpusRecord("a", image_ref="img/a.png"), CorpusRecord("b", "plain words"),
+               CorpusRecord("c", image_ref="img/c.png")]
+    caption = ScriptedCaptionBackend({"img/a.png": "raw a", "img/c.png": "raw c"})
+    chat = scripted((refine_turns("raw a", ""), "   "), (refine_turns("raw c", ""), "\n"),
+                    (extract_turns("plain words"), "ENTITY|words|plain words"))
+    log, warnings = CallLog(), []
+    with log.collect() as calls:
+        index, graph = build_stores(records, make_gateway(chat=chat, embedding=hashing_backend,
+                                                          caption=caption, call_log=log),
+                                    TEMPLATES, 4, 1, warnings)
+    assert warnings == [f"refined caption of document {name!r} is blank; skipped"
+                        for name in ("a", "c")]
+    assert index.chunk_ids == ["b:0000"]
+    assert [e.name for e in graph.entities] == ["words"]
+    assert [(c.kind, c.role) for c in calls if c.kind != "caption"] == [
+        ("chat", "lightweight_chat"), ("chat", "lightweight_chat"), ("embedding", "embedding"),
+        ("chat", "chat")]
+
+
 def test_build_index_counts_and_dim(hashing_backend):
     gateway = make_gateway(embedding=hashing_backend)
     chunks = [Chunk(f"c{i}", f"text number {i}") for i in range(3)]
@@ -147,6 +174,39 @@ def test_build_index_rejects_embedding_length_drift(lengths):
 def test_build_index_rejects_empty_input(hashing_backend):
     with pytest.raises(ValueError):
         build_index([], make_gateway(embedding=hashing_backend))
+
+
+def test_build_index_raises_the_gateway_error_of_one_chunk():
+    error = GatewayError("embedding down for chunk 7")
+
+    class OneChunkDown:
+        def embed(self, text):
+            if text == "text number 7":
+                raise error
+            return np.ones(8)
+
+    chunks = [Chunk(f"c{i}", f"text number {i}") for i in range(12)]
+    with pytest.raises(GatewayError) as raised:
+        build_index(chunks, make_gateway(embedding=OneChunkDown()))
+    assert raised.value is error
+
+
+def test_build_index_writes_each_embedding_into_one_matrix():
+    """No list of per-chunk vectors and no stacked copy: the traced peak is the matrix,
+    the bool mask of its finiteness check and a few words per row."""
+    rows, dim = 20_000, 64
+    source = np.random.default_rng(3).standard_normal((rows, dim))
+    row_of = {f"chunk text {i}": i for i in range(rows)}
+
+    class DictEmbedding:
+        def embed(self, text):
+            return source[row_of[text]].copy()  # a fresh array per reply, as a decoded one is
+
+    chunks = [Chunk(f"c{i:05d}", text) for text, i in row_of.items()]
+    gateway, built = make_gateway(embedding=DictEmbedding()), []
+    peak = traced_peak(lambda: built.append(build_index(chunks, gateway)))
+    assert peak <= source.nbytes * 9 // 8 + 96 * rows + 2**20
+    assert built[0].matrix.tobytes() == source.tobytes()
 
 
 def test_index_persist_roundtrip_and_rebuild_identical(tmp_path, hashing_backend):
