@@ -3,8 +3,10 @@
 Backends are pluggable: HTTP clients speaking the common chat-completions
 and embeddings JSON wire formats, built on the one HTTP client (`_HTTPClient`)
 that web search builds on too, plus deterministic scripted doubles for tests
-and offline runs. A chat call is one user turn sent with temperature 0 and
-top_p 1, so every call is reproducible given the same backend state.
+and offline runs. `requests` is needed, and imported, only once an HTTP client
+is built, so a process on scripted backends never loads the HTTP stack. A chat
+call is one user turn sent with temperature 0 and top_p 1, so every call is
+reproducible given the same backend state.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .config import DEFAULTS, ROLE_DEFAULTS
 from .errors import (
@@ -45,6 +46,20 @@ MAX_SLICES = 8
 _BACKOFF_BASE_S = 0.5
 _MAX_WAIT_S = 30.0
 _sleep = time.sleep  # every wait between retries; tests replace it
+
+
+def _import_requests():
+    """Bind `requests` in this module and return it: the HTTP stack loads only
+    once an HTTP client is built, so scripted backends never pay for it."""
+    global requests
+    import requests
+    return requests
+
+
+def __getattr__(name):  # PEP 562: `hmrag.gateway.requests` resolves before any client is built
+    if name == "requests":
+        return _import_requests()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -353,6 +368,7 @@ class _HTTPClient:
         if url is None or url.scheme not in ("http", "https") or not url.hostname:
             raise ConfigError(f"{self.kind} backend needs an http or https endpoint with a host, "
                               f"got {config.endpoint!r}")
+        _import_requests()  # here, at start-up, so no request and no worker thread pays for it
         self.config = config
         self._headers = {"Content-Type": "application/json"}
         if config.api_key_env:

@@ -4,7 +4,9 @@ The live client POSTs ``{q, num, hl}`` with an X-API-KEY header as a
 subclass of the gateway's one HTTP client and reads the ``organic`` array
 (title/snippet/link/position). A file-backed stub serves the same JSON
 keyed by query so tests and offline runs never touch the network.
-Answers carry their source URLs as evidence.
+Answers carry their source URLs as evidence. `requests` is needed, and
+imported, only once a `SerperSearchClient` (or any gateway HTTP client) is
+built.
 """
 
 from __future__ import annotations
@@ -12,15 +14,19 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import requests  # unused here, but tests patch it on this module to forbid network access
-
 from .config import DEFAULTS
 from .decision import AnswerCandidate, run_agent
 from .errors import ScriptMismatchError, SearchParseError
-from .gateway import ModelBackendConfig, _HTTPClient, load_fixture
+from .gateway import ModelBackendConfig, _HTTPClient, _import_requests, load_fixture
 from .templates import TemplateSet
 
 _EMPTY_RESULTS = "(no web evidence retrieved)"
+
+
+def __getattr__(name):  # PEP 562: `hmrag.web_agent.requests`, for patching, without an import here
+    if name == "requests":
+        return _import_requests()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -56,16 +62,17 @@ def parse_search_response(data: dict, cfg: SearchConfig, raw_payload: str = "") 
     for i, item in enumerate(organic):
         if not isinstance(item, dict) or not item.get("link"):
             raise SearchParseError(f"organic entry {i} missing link", raw_payload=raw_payload)
-        try:
-            results.append(SearchResult(
-                title=str(item.get("title", "")),
-                snippet=str(item.get("snippet", "")),
-                url=str(item["link"]),
-                position=int(item.get("position", i + 1)),
-            ))
-        except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
-            raise SearchParseError(f"organic entry {i} malformed: {exc}",
-                                   raw_payload=raw_payload) from exc
+        # a null or absent title or snippet is ""; as for vectors, nothing else is coerced:
+        # str() would read null as "None", and int() would read true as 1 and 2.7 as 2
+        title, snippet = ("" if item.get(key) is None else item[key] for key in ("title", "snippet"))
+        position = item.get("position", i + 1)
+        if not all(isinstance(text, str) for text in (title, snippet, item["link"])):
+            raise SearchParseError(f"organic entry {i} has a title, snippet or link that is not text",
+                                   raw_payload=raw_payload)
+        if type(position) is not int or position < 1:
+            raise SearchParseError(f"organic entry {i} position {position!r:.40} is not an int >= 1",
+                                   raw_payload=raw_payload)
+        results.append(SearchResult(title, snippet, item["link"], position))
     positions = [r.position for r in results]
     if len(set(positions)) != len(positions):
         raise SearchParseError(f"duplicate result positions in response: {sorted(positions)}",

@@ -1,6 +1,10 @@
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -670,3 +674,35 @@ def test_ingest_writes_the_stores_of_the_test_world(tmp_path, capsys):
     world.graph.save(expected / "graph.jsonl")
     for name in ("index.jsonl", "graph.jsonl"):
         assert (store / name).read_bytes() == (expected / name).read_bytes()
+
+
+# run in a fresh interpreter: this one loaded `requests` through conftest
+_OFFLINE_RUN = """
+import json, sys
+import hmrag, hmrag.cli
+corpus, config, store, question, client = sys.argv[1:]
+ingest = hmrag.cli.main(["ingest", "--corpus", corpus, "--out", store, "--config", config])
+query = hmrag.cli.main(["query", "--store", store, "--config", config, question])
+offline = sorted({"requests", "urllib3"} & sys.modules.keys())
+if client == "embedding":
+    from hmrag.gateway import HTTPEmbeddingBackend, ModelBackendConfig
+    HTTPEmbeddingBackend(ModelBackendConfig("http://embed.local"))
+else:
+    from hmrag.web_agent import SerperSearchClient
+    SerperSearchClient("http://search.local", api_key_env="")
+print(json.dumps([ingest, query, offline, "requests" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("client", ["embedding", "search"])
+def test_offline_cli_run_never_loads_the_http_stack(world_dir, tmp_path, client):
+    question = format_eval_question(world_dir.eval_records[0])
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_mod.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", _OFFLINE_RUN, str(world_dir.paths["corpus"]),
+         str(world_dir.paths["config"]), str(tmp_path / "store"), question, client],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    ingest, query, offline, after_build = json.loads(done.stdout.splitlines()[-1])
+    assert (ingest, query, offline) == (0, 0, [])
+    assert after_build  # building an HTTP client brings `requests` in

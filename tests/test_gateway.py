@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hmrag.gateway as gateway_mod
+import hmrag.web_agent as web_mod
 from hmrag.errors import (
     BackendUnavailableError,
     ConfigError,
@@ -230,6 +231,23 @@ def test_http_chat_missing_api_key_env(monkeypatch):
     monkeypatch.delenv("MISSING_KEY", raising=False)
     with pytest.raises(ConfigError, match="'MISSING_KEY' is not set"):
         HTTPChatBackend(ModelBackendConfig(endpoint="http://x", api_key_env="MISSING_KEY"))
+
+
+@pytest.mark.parametrize("module", [gateway_mod, web_mod])
+def test_requests_attribute_resolves_to_the_requests_module(module):
+    assert module.requests is requests
+    with pytest.raises(AttributeError, match=f"module '{module.__name__}' has no attribute 'no_such_name'"):
+        module.no_such_name
+
+
+def test_patching_requests_post_by_its_dotted_path_intercepts_a_send(monkeypatch):
+    """The acceptance suite forbids the network this way."""
+    def boom(*args, **kwargs):
+        raise AssertionError("network call attempted")
+
+    monkeypatch.setattr("hmrag.gateway.requests.post", boom)
+    with pytest.raises(AssertionError, match="network call attempted"):
+        HTTPEmbeddingBackend(ModelBackendConfig(endpoint="http://x")).embed("hello")
 
 
 def test_http_retries_then_succeeds(monkeypatch):

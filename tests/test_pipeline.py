@@ -429,6 +429,9 @@ def test_hung_keyword_request_times_out_the_graph_agent_alone(small_world):
     {"organic": [{"link": "https://a", "position": 1}, {"link": "https://b", "position": "two"}]},
     {"organic": [{"link": "https://a", "position": 1}, {"link": "https://b", "position": 1}]},
     {"organic": [{"link": "https://a", "position": 0}]},
+    {"organic": [{"link": "https://a", "position": True}]},
+    {"organic": [{"link": "https://a", "position": 2.7}]},
+    {"organic": [{"link": "https://a", "title": 5}]},
     [{"link": "https://a", "position": 1}],
 ])
 def test_malformed_search_payload_degrades_web_candidate(small_world, payload):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 import requests
@@ -127,6 +128,35 @@ def test_infinite_position_is_parse_error():
     fixture = {"q": {"organic": [{"link": "https://a", "position": float("inf")}]}}
     with pytest.raises(SearchParseError):
         StubSearchClient(fixture).search("q", SearchConfig())
+
+
+@pytest.mark.parametrize("entry", [
+    {"link": "https://a", "title": None, "snippet": None},
+    {"link": "https://a"},
+])
+def test_null_or_absent_title_and_snippet_read_as_empty_text(entry):
+    (result,) = StubSearchClient({"q": {"organic": [entry]}}).search("q", SearchConfig())
+    assert (result.title, result.snippet, result.position) == ("", "", 1)
+    assert format_results([result]) == ["[1]  —  (https://a)"]
+
+
+@pytest.mark.parametrize("entry, reason", [
+    ({"title": 5}, "not text"),
+    ({"title": ["Jupiter"]}, "not text"),
+    ({"snippet": False}, "not text"),
+    ({"snippet": {"text": "s"}}, "not text"),
+    ({"link": 7}, "not text"),
+    ({"link": ["https://b"]}, "not text"),
+    ({"position": True}, "position True is not an int >= 1"),
+    ({"position": 2.7}, "position 2.7 is not an int >= 1"),
+    ({"position": None}, "position None is not an int >= 1"),
+    ({"position": "2"}, "position '2' is not an int >= 1"),
+    ({"position": 0}, "position 0 is not an int >= 1"),
+])
+def test_entry_that_is_not_text_or_an_int_position_is_parse_error_naming_it(entry, reason):
+    organic = [{"link": "https://a", "position": 1}, {"link": "https://b", "position": 2, **entry}]
+    with pytest.raises(SearchParseError, match=f"organic entry 1 .*{re.escape(reason)}"):
+        StubSearchClient({"q": {"organic": organic}}).search("q", SearchConfig())
 
 
 def test_live_client_retries_5xx_then_succeeds(monkeypatch):
