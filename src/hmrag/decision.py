@@ -1,11 +1,12 @@
 """Arbitration of the retrieval agents' answers.
 
-Each distinct available answer text is summarized once, all texts in
-one concurrent round; pairwise agreement is scored with an LCS-overlap
-metric and a clipped n-gram precision metric, and the fused mean
-decides the route: agreeing answers are merged by the lightweight
-model, conflicting ones go to the expert model with full evidence
-attached.
+Each distinct available answer text is summarized once, on a thread of
+its own. A summary starts as soon as two available answers have arrived,
+or its text arrives later, so it runs beside the slower retrieval agents.
+Pairwise agreement is scored with an LCS-overlap metric and a clipped
+n-gram precision metric, and the fused mean decides the route: agreeing
+answers are merged by the lightweight model, conflicting ones go to the
+expert model with full evidence attached.
 
 Metric conventions, fixed for reproducibility:
   - tokenization case-folds and splits on whitespace and punctuation;
@@ -31,7 +32,7 @@ from statistics import mean
 
 from .config import DEFAULTS
 from .errors import GatewayError, PipelineError, trace_warning
-from .gateway import run_in_threads
+from .gateway import start_in_thread
 from .kernels import lcs_length
 from .templates import TemplateSet
 
@@ -192,20 +193,33 @@ class DecisionAgent:
         return self._gateway.complete_chat(
             prompt, role="lightweight_chat", max_tokens=self.summary_token_budget)
 
-    def _summarize_distinct(self, candidates, warnings: list[str] | None
-                            ) -> list[AnswerCandidate]:
+    def start_summaries(self, candidates, started: dict) -> None:
+        """Once two of `candidates` are available, start the summary of each
+        distinct text among the available ones lacking a summary that `started`
+        (text -> the `wait` of `start_in_thread`) does not hold yet, on a thread
+        of its own. A caller may offer the candidates as they arrive."""
+        if sum(c.available for c in candidates) < 2:
+            return
+        for c in candidates:
+            if c.available and c.summary is None and c.text not in started:
+                started[c.text] = start_in_thread(functools.partial(self.summarize, c.text))
+
+    def _summarize_distinct(self, candidates, warnings: list[str] | None,
+                            started: dict) -> list[AnswerCandidate]:
         """Summarize once each distinct text of the candidates still lacking a
-        summary, all texts in one concurrent round, and give each summary to every
-        candidate with that text. Decoding is pinned, so a repeated prompt could
-        only repeat the summary.
+        summary, and give each summary to every candidate with that text. The
+        summaries in `started`, begun while the candidates arrived, are waited
+        for, and the missing ones are started now; their calls join the trace in
+        candidate order. Decoding is pinned, so a repeated prompt could only
+        repeat the summary.
 
         A failed summary marks every sharer unavailable, each with its own
-        warning "{source} summary failed: {error}", in candidate order once the
-        round has ended; an error that is not a GatewayError is raised.
+        warning "{source} summary failed: {error}", in candidate order once every
+        summary has ended; an error that is not a GatewayError is raised.
         """
-        texts = list(dict.fromkeys(c.text for c in candidates if c.available and c.summary is None))
-        futures = dict(zip(texts, run_in_threads(
-            [functools.partial(self.summarize, text) for text in texts])))
+        self.start_summaries(candidates, started)
+        texts = dict.fromkeys(c.text for c in candidates if c.available and c.summary is None)
+        futures = {text: started[text]() for text in texts}
         worked = []
         for c in candidates:
             if not c.available or c.summary is not None:
@@ -232,12 +246,13 @@ class DecisionAgent:
             role = "expert_chat"
         return self._gateway.complete_chat(prompt, role=role)
 
-    def decide(self, query: str, candidates, warnings: list[str] | None = None
-               ) -> tuple[str, ConsensusReport, list[AnswerCandidate]]:
+    def decide(self, query: str, candidates, warnings: list[str] | None = None,
+               started: dict | None = None) -> tuple[str, ConsensusReport, list[AnswerCandidate]]:
         """Vote over the available candidates and produce the final text.
 
-        A failed summary adds one warning to `warnings`, when given, for each
-        candidate sharing its text.
+        `started` holds the summaries `start_summaries` began as the candidates
+        arrived; decide starts the rest. A failed summary adds one warning to
+        `warnings`, when given, for each candidate sharing its text.
 
         Returns the final answer, the consensus report, and the candidate
         list as it stood at voting time (summaries attached, failures
@@ -248,7 +263,7 @@ class DecisionAgent:
             raise PipelineError("no available answer candidates to decide over")
 
         if sum(c.available for c in worked) >= 2:
-            worked = self._summarize_distinct(worked, warnings)
+            worked = self._summarize_distinct(worked, warnings, started or {})
         available = [c for c in worked if c.available]
         if not available:
             raise PipelineError("all candidates became unavailable during summarization")

@@ -141,34 +141,67 @@ class CallLog:
             _open_calls.reset(token)
 
 
-def start_in_threads(calls):
-    """Start each zero-argument call on its own thread: the one way the package
-    runs work concurrently. Returns `wait(timeout=None)`, to be called once,
-    which waits up to `timeout` seconds for all of them and returns, per call,
-    its future if it has finished by then, else None.
-
-    Each call runs in a copy of the caller's context with a call list of its
-    own. `wait` inserts the finished calls' lists into the caller's list in
-    call order, where that list ended when they started; an unfinished call
-    ends in the background and adds none of its calls.
-    """
+def _start(calls):
+    """Submit each call on a thread of its own, in a copy of the caller's context
+    with a call list of its own. Returns the caller's list, the contexts and the futures."""
     caller_calls = _open_calls.get()
-    position = None if caller_calls is None else len(caller_calls)
     contexts = [copy_context() for _ in calls]
     for context in contexts:
         context.run(_open_calls.set, None if caller_calls is None else [])
     pool = concurrent.futures.ThreadPoolExecutor(max_workers=len(calls) or 1)
     futures = [pool.submit(context.run, call) for context, call in zip(contexts, calls)]
     pool.shutdown(wait=False)  # the submitted calls still run; nothing waits on the pool
+    return caller_calls, contexts, futures
 
-    def wait(timeout: float | None = None) -> list:
-        done, _ = concurrent.futures.wait(futures, timeout=timeout)
+
+def start_in_threads(calls):
+    """Start each zero-argument call on its own thread: with `start_in_thread`, the
+    one way the package runs work concurrently. Returns `wait(timeout=None,
+    on_finish=None)`, to be called once, which waits up to `timeout` seconds for
+    all of them and returns, per call, its future if it has finished by then, else
+    None. It calls `on_finish(future)` on the caller's thread for each call as it
+    finishes in time.
+
+    Each call runs in a copy of the caller's context with a call list of its
+    own. `wait` inserts the finished calls' lists into the caller's list in
+    call order, where that list ended when they started; an unfinished call
+    ends in the background and adds none of its calls.
+    """
+    caller_calls, contexts, futures = _start(calls)
+    position = None if caller_calls is None else len(caller_calls)
+
+    def wait(timeout: float | None = None, on_finish=None) -> list:
+        done = set()
+        try:
+            for future in concurrent.futures.as_completed(futures, timeout):
+                done.add(future)
+                if on_finish is not None:
+                    on_finish(future)
+        except concurrent.futures.TimeoutError:
+            pass
         finished = [future if future in done else None for future in futures]
         if caller_calls is not None:
             caller_calls[position:position] = [
                 record for context, future in zip(contexts, finished)
                 if future is not None for record in context[_open_calls]]
         return finished
+
+    return wait
+
+
+def start_in_thread(call):
+    """Start `call` as one task of `start_in_threads`, and return `wait()`, to be
+    called once: it waits for the call, appends the call's records to the caller's
+    list where that list ends by then, and returns the call's future. So a task
+    started while other work runs is listed after that work's calls, and tasks
+    are listed in the order of their waits."""
+    caller_calls, (context,), (future,) = _start([call])
+
+    def wait():
+        concurrent.futures.wait((future,))
+        if caller_calls is not None:
+            caller_calls.extend(context[_open_calls])
+        return future
 
     return wait
 
@@ -181,37 +214,40 @@ def run_in_threads(calls, timeout: float | None = None) -> list:
 
 def map_in_threads(function, items) -> list:
     """`[function(item) for item in items]`, as at most MAX_SLICES contiguous
-    slices run at once, each serially as one task of `run_in_threads`.
+    slices run at once, each serially as one task of `run_in_threads`. A range,
+    list or tuple is read in place; any other iterable is listed first.
 
     Once an item has raised, or the caller is interrupted, no slice starts
     another item; the error raised is that of the earliest failed item in list
     order. Results, and the calls recorded for them, keep item order.
     """
-    items = list(items)
+    if not isinstance(items, (range, list, tuple)):
+        items = list(items)
     if not items:
         return []
+    results = [None] * len(items)
     count = min(MAX_SLICES, len(items))
     bounds = [len(items) * i // count for i in range(count + 1)]
     stop = threading.Event()
 
-    def run_slice(part):
-        results = []
-        for item in part:
+    def run_slice(start, end):
+        for i in range(start, end):
             if stop.is_set():
                 break
             try:
-                results.append(function(item))
+                results[i] = function(items[i])
             except BaseException:
                 stop.set()
                 raise
-        return results
 
     try:
-        futures = run_in_threads([functools.partial(run_slice, items[start:end])
+        futures = run_in_threads([functools.partial(run_slice, start, end)
                                   for start, end in zip(bounds, bounds[1:])])
     finally:
         stop.set()  # on an interrupt, so the slices end after their current item
-    return [result for future in futures for result in future.result()]
+    for future in futures:
+        future.result()  # the earliest failed slice's error, if any
+    return results
 
 
 def parse_json(text):

@@ -30,7 +30,7 @@ from .decision import (
     unavailable_candidate,
 )
 from .errors import GatewayError, PipelineError, trace_warning
-from .gateway import CallLog, ModelGateway, parse_json, run_in_threads
+from .gateway import CallLog, ModelGateway, parse_json, start_in_threads
 from .ingest import EmbeddingIndex, KnowledgeGraph
 from .graph_agent import GraphAgent
 from .templates import TemplateSet
@@ -155,13 +155,22 @@ class Pipeline:
             self._agents["web"] = WebAgent(gateway, web_client, self.cfg.search, self._templates)
         self._order = tuple(s for s in SOURCES if s in self._agents)
 
-    def _fan_out(self, query: str, entry: SubQueryTrace) -> list[AnswerCandidate]:
+    def _fan_out(self, query: str, entry: SubQueryTrace) -> tuple[list[AnswerCandidate], dict]:
+        """The agents' candidates in agent order, and the summaries started as
+        they arrived in time (see `DecisionAgent.start_summaries`)."""
         # one list per agent, so a timed-out agent's late warnings stay out of the trace
         warnings = {source: [] for source in self._order}
-        # one deadline for all agents, counted from the start of the fan-out
         runs = [functools.partial(self._agents[source].run, query, warnings[source])
                 for source in self._order]
-        futures = run_in_threads(runs, timeout=self.cfg.agent_timeout_s)
+        arrived, summaries = [], {}
+
+        def on_finish(future):
+            if self.cfg.decision_enabled and future.exception() is None:
+                arrived.append(future.result())
+                self._decision.start_summaries(arrived, summaries)
+
+        # one deadline for all agents, counted from the start of the fan-out
+        futures = start_in_threads(runs)(self.cfg.agent_timeout_s, on_finish)
         candidates = []
         for source, future in zip(self._order, futures):
             if future is not None:
@@ -171,7 +180,7 @@ class Pipeline:
                 candidates.append(unavailable_candidate(source))
                 trace_warning(entry.warnings,
                               f"{source} agent timed out after {self.cfg.agent_timeout_s}s")
-        return candidates
+        return candidates, summaries
 
     def _fallback_answer(self, candidates: list[AnswerCandidate]) -> AnswerCandidate | None:
         by_source = {c.source: c for c in candidates if c.available}
@@ -195,15 +204,16 @@ class Pipeline:
                     entry = SubQueryTrace(sub_query=sub_query, contextual_query=contextual)
                     trace.entries.append(entry)
                     fan_started = time.perf_counter()
+                    candidates, summaries = self._fan_out(contextual, entry)
                     # set before deciding, so every later exit keeps the agents' answers
-                    entry.candidates = candidates = self._fan_out(contextual, entry)
+                    entry.candidates = candidates
                     entry.timings["fanout_s"] = time.perf_counter() - fan_started
 
                     decide_started = time.perf_counter()
                     if self.cfg.decision_enabled:
                         try:
                             answer, entry.report, entry.candidates = self._decision.decide(
-                                contextual, candidates, entry.warnings)
+                                contextual, candidates, entry.warnings, summaries)
                         except PipelineError:
                             # decide fails only once no candidate is usable, summaries included
                             entry.candidates = [replace(c, available=False) for c in candidates]

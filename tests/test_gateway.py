@@ -30,18 +30,20 @@ from hmrag.gateway import (
     HTTPCaptionBackend,
     HTTPChatBackend,
     HTTPEmbeddingBackend,
+    MAX_SLICES,
     ModelBackendConfig,
     ScriptedCaptionBackend,
     ScriptedChatBackend,
     map_in_threads,
     run_in_threads,
+    start_in_thread,
     start_in_threads,
 )
 from hmrag.web_agent import SearchConfig, SearchResult, SerperSearchClient
 
 from conftest import (
     DEEP_JSON, JSON_VALUES, CountingChatBackend, FakeResponse, decoding_response, make_gateway,
-    user_turns,
+    traced_peak, user_turns,
 )
 
 
@@ -724,12 +726,53 @@ def test_an_interrupted_map_in_threads_starts_no_further_item(monkeypatch):
             assert release.wait(10)
         return i
 
-    monkeypatch.setattr(gateway_mod.concurrent.futures, "wait", interrupted_wait)
+    monkeypatch.setattr(gateway_mod.concurrent.futures, "as_completed", interrupted_wait)
     with pytest.raises(KeyboardInterrupt):
         map_in_threads(item, range(40))
     release.set()
     assert not wait(slices, timeout=10).not_done
     assert sorted(started) == list(range(0, 40, 40 // gateway_mod.MAX_SLICES))
+
+
+def test_map_in_threads_reads_a_range_in_place():
+    # the result list is 8 B per item; listing the range first added about 50 B more
+    items = 20_000
+    map_in_threads(lambda i: None, range(MAX_SLICES))  # warm the thread machinery
+    peak = traced_peak(map_in_threads, lambda i: None, range(items))
+    assert peak <= 16 * items + 2**16
+    assert map_in_threads(str, (i for i in range(5))) == ["0", "1", "2", "3", "4"]
+
+
+def test_start_in_thread_lists_its_calls_where_the_callers_list_ends_at_the_wait(
+        hashing_backend):
+    log = CallLog()
+    gateway = make_gateway(embedding=hashing_backend, call_log=log)
+    with log.collect() as records:
+        wait = start_in_thread(lambda: gateway.embed_text("started first") is not None)
+        round_wait = start_in_threads([lambda: gateway.embed_text("round")])
+        round_wait()
+        gateway.embed_text("between")
+        assert wait().result() is True
+        gateway.embed_text("after")
+    assert [r.detail for r in records] == ["round", "between", "started first", "after"]
+
+
+def test_on_finish_sees_each_call_that_finishes_in_time_and_no_other():
+    release = threading.Event()
+    seen = []
+
+    def hung():
+        assert release.wait(5)
+        return "late"
+
+    try:
+        futures = start_in_threads([hung, lambda: "quick", lambda: "quicker"])(
+            timeout=0.2, on_finish=lambda future: seen.append(future.result()))
+    finally:
+        release.set()
+    assert futures[0] is None
+    assert sorted(seen) == ["quick", "quicker"]
+    assert [f.result() for f in futures[1:]] == ["quick", "quicker"]
 
 
 def test_scripted_chat_from_file(tmp_path):

@@ -219,6 +219,110 @@ def test_concurrent_queries_keep_their_own_summary_calls():
         assert sum(c["detail"].startswith(summary_head) for c in trace["calls"]) == 3
 
 
+class PromptLog:
+    """Chat double that lists every prompt it is sent and sets `summary_sent` once
+    the summary request for `summary_text` arrives."""
+
+    def __init__(self, inner, summary_text=None):
+        self.inner = inner
+        self.prompts = []
+        self.summary_prompt = TEMPLATES.render("summarize", text=summary_text,
+                                               budget=SUMMARY_BUDGET)
+        self.summary_sent = threading.Event()
+
+    def complete(self, turns, params):
+        self.prompts.append(turns[-1].content)
+        if turns[-1].content == self.summary_prompt:
+            self.summary_sent.set()
+        return self.inner.complete(turns, params)
+
+    def summaries(self):
+        head = TEMPLATES.text("summarize").split("{", 1)[0]
+        return [p for p in self.prompts if p.startswith(head)]
+
+
+def _log_prompts(pipeline, summary_text=None):
+    chat = PromptLog(pipeline._gateway._chat_backends["chat"], summary_text)
+    pipeline._gateway._chat_backends = dict.fromkeys(pipeline._gateway._chat_backends, chat)
+    return chat
+
+
+def test_summaries_start_while_the_slowest_agent_runs():
+    world = build_world(n=20)
+    record = world.eval_records[0]
+    question = format_eval_question(record)
+    pipeline = world.make_pipeline()
+    chat = _log_prompts(pipeline, world.answer_texts[record.id])
+    graph, release = pipeline._agents["graph"], threading.Event()
+    run = graph.run
+
+    def held_run(query, warnings=None):
+        assert release.wait(10)
+        return run(query, warnings)
+
+    graph.run = held_run
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        asked = pool.submit(pipeline.run_query, question)
+        try:
+            # the vector and web answers share one text; its summary is asked for
+            # while the graph agent is still held
+            sent_while_held = chat.summary_sent.wait(5)
+        finally:
+            release.set()
+        trace = asked.result(timeout=30)
+    assert sent_while_held
+    assert len(chat.summaries()) == 1
+    assert trace.normalized() == world.make_pipeline().run_query(question).normalized()
+
+
+def test_a_lone_available_answer_gets_no_summary_request():
+    world = build_world(n=4, subsets=(("web",),))
+    record = world.eval_records[0]
+    pipeline = world.make_pipeline()
+    chat = _log_prompts(pipeline)
+    for source in ("vector", "graph"):
+        pipeline._agents[source].run = lambda query, warnings=None, source=source: (
+            unavailable_candidate(source))
+    trace = pipeline.run_query(format_eval_question(record))
+    assert [c.available for c in trace.entries[0].candidates] == [False, False, True]
+    assert trace.entries[0].report.pair_scores == {}
+    assert trace.final_answer == world.answer_texts[record.id]
+    assert chat.summaries() == []
+
+
+LATE_TEXT = "a late graph answer no other agent gives"
+
+
+def test_an_answer_after_the_deadline_gets_no_summary_request(small_world):
+    threads_before = set(threading.enumerate())
+    questions = [format_eval_question(r) for r in small_world.eval_records[:2]]
+    pipeline = small_world.make_pipeline(agent_timeout_s=0.3)
+    chat = _log_prompts(pipeline)
+    graph, release = pipeline._agents["graph"], threading.Event()
+    run, late = graph.run, []
+
+    def late_run(query, warnings=None):
+        if late:
+            return run(query, warnings)
+        late.append(query)
+        assert release.wait(10)  # past the deadline, with a text no other agent gives
+        return AnswerCandidate(text=LATE_TEXT, source="graph")
+
+    graph.run = late_run
+    first = pipeline.run_query(questions[0])
+    assert [(c.source, c.available) for c in first.entries[0].candidates] == [
+        ("vector", True), ("graph", False), ("web", True)]
+    release.set()
+    for thread in set(threading.enumerate()) - threads_before:
+        thread.join(5)  # the late agent, and any summary it might have started
+    later = pipeline.run_query(questions[1])
+    assert not [p for p in chat.summaries() if LATE_TEXT in p]
+    assert len(chat.summaries()) == 2  # one per question, for the text its agents share
+    for trace in (first, later):
+        assert LATE_TEXT not in json.dumps(trace.normalized())
+    assert later.normalized() == small_world.make_pipeline().run_query(questions[1]).normalized()
+
+
 def _mini_vector_store(texts):
     backend = HashingEmbeddingBackend(dim=16, seed=1)
     gateway = ModelGateway(chat=ScriptedChatBackend(), embedding=backend)
